@@ -91,16 +91,20 @@ class LoopPredictor(LocalPredictorCore):
     # prediction
 
     def lookup(self, pc: int) -> LocalPrediction | None:
-        slot = self.bht.find(pc)
-        if slot < 0 or not self.bht.is_valid(slot):
+        bht = self.bht
+        slot = bht._slot_by_pc.get(pc, -1)
+        if slot < 0 or not bht._valid[slot]:
             return None
-        entry = self.pt.lookup(pc)
-        if entry is None or not entry.confident:
+        trip = self.pt.confident_trip(pc)
+        if trip < 0:
             return None
-        count, dominant = unpack_state(self.bht.state_at(slot))
-        self.bht.touch(slot)
-        taken = dominant if count < entry.trip else not dominant
-        return LocalPrediction(pc=pc, taken=taken, trip=entry.trip, count=count)
+        state = bht._state[slot]
+        bht._tick += 1
+        bht._lru[slot] = bht._tick
+        count = state >> 1
+        dominant = bool(state & 1)
+        taken = dominant if count < trip else not dominant
+        return LocalPrediction(pc, taken, trip, count)
 
     # ------------------------------------------------------------- #
     # speculative state
@@ -122,48 +126,39 @@ class LoopPredictor(LocalPredictorCore):
         return pack_state(1, taken)
 
     def spec_update(self, pc: int, taken: bool) -> SpecUpdate:
-        slot = self.bht.find(pc)
+        # Once per predicted branch: next_state, pack/unpack and the BHT
+        # accessors are inlined (same arithmetic and table writes).
+        bht = self.bht
+        bit = 1 if taken else 0
+        slot = bht._slot_by_pc.get(pc, -1)
         if slot < 0:
-            state = pack_state(1, taken)
-            slot = self.bht.allocate(pc, state)
-            return SpecUpdate(
-                pc=pc, slot=slot, pre_state=None, pre_valid=False, post_state=state
-            )
-        pre_state = self.bht.state_at(slot)
-        pre_valid = self.bht.is_valid(slot)
-        post_state = self.next_state(pre_state, taken)
-        self.bht.set_state(slot, post_state)
-        count, dominant = unpack_state(post_state)
-        if taken != dominant or count <= 1:
+            state = 2 | bit  # pack_state(1, taken)
+            return SpecUpdate(pc, bht.allocate(pc, state), None, False, state)
+        states = bht._state
+        valid = bht._valid
+        pre_state = states[slot]
+        pre_valid = valid[slot]
+        count = pre_state >> 1
+        dominant = pre_state & 1
+        if bit == dominant:
+            if count < self._max_count:
+                count += 1
+            post_state = (count << 1) | dominant
+            # A count of at most one means the run just restarted.
+            revalidate = count <= 1
+        else:
             # A direction flip re-initialises the counter: from here the
             # state is right again regardless of earlier corruption, so
-            # the entry becomes trustworthy (paper §3.1, §3.2.1).
-            self.bht.set_valid(slot, True)
-        self.bht.touch(slot)
-        return SpecUpdate(
-            pc=pc,
-            slot=slot,
-            pre_state=pre_state,
-            pre_valid=pre_valid,
-            post_state=post_state,
-        )
-
-    def spec_advance(self, pc: int, taken: bool) -> int | None:
-        # Fused fast-forward advance: same writes as spec_update, no
-        # SpecUpdate receipt (fast-forwarded spans never roll back).
-        bht = self.bht
-        slot = bht.find(pc)
-        if slot < 0:
-            bht.allocate(pc, pack_state(1, taken))
-            return None
-        pre_state = bht.state_at(slot)
-        post_state = self.next_state(pre_state, taken)
-        bht.set_state(slot, post_state)
-        count, dominant = unpack_state(post_state)
-        if taken != dominant or count <= 1:
-            bht.set_valid(slot, True)
-        bht.touch(slot)
-        return pre_state
+            # the entry becomes trustworthy (paper §3.1, §3.2.1).  Two
+            # anti-dominant outcomes in a row relearn the direction.
+            post_state = (2 | bit) if count == 0 else dominant
+            revalidate = True
+        states[slot] = post_state
+        if revalidate:
+            valid[slot] = True
+        bht._tick += 1
+        bht._lru[slot] = bht._tick
+        return SpecUpdate(pc, slot, pre_state, pre_valid, post_state)
 
     # ------------------------------------------------------------- #
     # training
@@ -186,9 +181,8 @@ class LoopPredictor(LocalPredictorCore):
             self.pt.penalize(pc)
         if pre_state is None:
             return
-        count, dominant = unpack_state(pre_state)
-        if taken != dominant:
-            self.pt.train_exit(pc, count)
+        if taken != bool(pre_state & 1):  # left the dominant direction
+            self.pt.train_exit(pc, pre_state >> 1)
 
     def storage_bits(self) -> int:
         if self._shared_pt:

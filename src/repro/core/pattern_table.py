@@ -97,6 +97,7 @@ class LoopPatternTable:
         #: are one dict probe instead of an associative way scan.
         self._slot_by_pc: dict[int, int] = {}
         self._tick = 0
+        self._confidence_threshold = config.confidence_threshold
         self.allocations = 0
         self.evictions = 0
 
@@ -124,6 +125,21 @@ class LoopPatternTable:
             confidence=conf,
             confident=conf >= self.config.confidence_threshold,
         )
+
+    def confident_trip(self, pc: int) -> int:
+        """The learned trip of ``pc``'s entry if confident, else -1.
+
+        The prediction path's lookup: refreshes LRU exactly as
+        :meth:`lookup` does, without building a view.
+        """
+        slot = self._slot_by_pc.get(pc, -1)
+        if slot < 0:
+            return -1
+        self._tick += 1
+        self._lru[slot] = self._tick
+        if self._conf[slot] < self._confidence_threshold:
+            return -1
+        return self._trip[slot]
 
     def train_exit(self, pc: int, observed_trip: int) -> None:
         """Learn from one completed loop execution (an exit event).

@@ -145,14 +145,15 @@ class StandardLocalUnit(LocalBranchUnit):
     # ------------------------------------------------------------- #
 
     def predict(self, branch: InflightBranch, base_taken: bool, cycle: int) -> bool:
-        pc = branch.pc
+        pc = branch.record.pc
         stats = self.stats
         scheme = self.scheme
+        local = self.local
         stats.lookups += 1
 
         local_pred = None
         if scheme.can_predict(pc, cycle):
-            local_pred = self.local.lookup(pc)
+            local_pred = local.lookup(pc)
         else:
             stats.denied_busy += 1
 
@@ -162,7 +163,7 @@ class StandardLocalUnit(LocalBranchUnit):
             stats.local_predictions += 1
             if local_pred.taken == base_taken:
                 branch.local_used = True
-            elif self.override_enabled:
+            elif self._chooser >= self._CHOOSER_USE:  # override_enabled
                 branch.local_used = True
                 final = local_pred.taken
                 stats.overrides += 1
@@ -171,7 +172,7 @@ class StandardLocalUnit(LocalBranchUnit):
         if scheme.speculative_updates:
             if scheme.can_update(pc, cycle):
                 scheme.before_update(branch, cycle)
-                branch.spec = self.local.spec_update(pc, final)
+                branch.spec = local.spec_update(pc, final)
                 scheme.on_spec_update(branch, cycle)
             else:
                 # §2.5(b): the entry cannot take a trustworthy update
@@ -179,7 +180,7 @@ class StandardLocalUnit(LocalBranchUnit):
                 # count keep issuing overrides.  The valid bit returns
                 # when the branch flips direction and the state resets.
                 stats.blocked_updates += 1
-                self.local.bht.invalidate_pc(pc)
+                local.bht.invalidate_pc(pc)
                 branch.spec = None
                 branch.checkpointed = False
         return final
@@ -191,20 +192,23 @@ class StandardLocalUnit(LocalBranchUnit):
     def resolve(
         self, branch: InflightBranch, flushed: Sequence[InflightBranch], cycle: int
     ) -> None:
-        if not branch.wrong_path and branch.record.kind.is_conditional:
-            if self.scheme.speculative_updates:
-                pre = branch.spec.pre_state if branch.spec is not None else None
+        record = branch.record
+        scheme = self.scheme
+        if not branch.wrong_path and record.kind.is_conditional:
+            if scheme.speculative_updates:
+                spec = branch.spec
+                pre = spec.pre_state if spec is not None else None
                 # Confidence is penalized only for predictions that
                 # were actually issued to the pipeline: hardware sees a
                 # "loop predictor misprediction" only when the loop
                 # predictor provided the final direction.
                 own = branch.local_pred.taken if branch.local_used else None
-                self.local.train(branch.pc, pre, branch.actual_taken, own)
-            self.scheme.note_resolution(branch, cycle)
+                self.local.train(record.pc, pre, record.taken, own)
+            scheme.note_resolution(branch, cycle)
             self._train_chooser(branch)
             self._note_override_outcome(branch)
-        if branch.mispredicted:
-            self.scheme.on_mispredict(branch, flushed, cycle)
+        if branch.predicted_taken != record.taken:  # mispredicted
+            scheme.on_mispredict(branch, flushed, cycle)
 
     def retire(self, branch: InflightBranch, cycle: int) -> None:
         if (

@@ -402,6 +402,7 @@ def measure_specialize(
             "specialized_branches_per_s": round(n_branches / special_wall, 1),
             "stats_identical": _stats_identical(generic, special),
             "engine": info.get("engine"),
+            "reason": info.get("reason"),
             "template": info.get("template"),
             "specialized_branches": info.get("specialized_branches"),
             "checkpoints": info.get("checkpoints"),

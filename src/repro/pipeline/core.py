@@ -33,7 +33,7 @@ consume fetch bandwidth, predictor state, and checkpoint entries.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from repro.core.inflight import InflightBranch
 from repro.core.unit import LocalBranchUnit
@@ -48,6 +48,8 @@ from repro.trace.records import BranchKind, BranchRecord
 from repro.trace.stream import TraceStream
 
 __all__ = ["PipelineModel"]
+
+_COND = BranchKind.COND
 
 
 class PipelineModel:
@@ -91,10 +93,11 @@ class PipelineModel:
     def _bind_hot_paths(self) -> None:
         """(Re)derive the per-branch bound methods and hoisted constants.
 
-        Hot-path bindings: the baseline and BTB never change after
-        construction, so the per-branch calls in _issue/_predict go
-        through pre-bound methods instead of two-level attribute
-        lookups.  Bound at init so subclass overrides still apply;
+        Hot-path bindings: the baseline, unit, hierarchy and BTB never
+        change after construction, so the per-branch calls go through
+        pre-bound methods instead of two-level attribute lookups, and a
+        unit's no-op base ``at_alloc`` is skipped entirely.  Bound at
+        init so subclass overrides still apply;
         checkpoint/spec_push skip the GlobalPredictor delegation layer
         only when the predictor has not overridden them.  The
         specialized-engine driver (:mod:`repro.pipeline.specialize`)
@@ -115,6 +118,25 @@ class PipelineModel:
             self._base_spec_push = baseline.spec_push
         self._btb_lookup = self.btb.lookup
         self._btb_install = self.btb.install
+        self._base_train = baseline.train
+        self._base_recover = baseline.recover
+        hierarchy = self.hierarchy
+        self._load_latency: Callable[[int], int] | None = (
+            hierarchy.load_latency if hierarchy is not None else None
+        )
+        unit = self.unit
+        self._unit_predict: Callable[[InflightBranch, bool, int], bool] | None = None
+        self._unit_resolve: (
+            Callable[[InflightBranch, Sequence[InflightBranch], int], None] | None
+        ) = None
+        self._unit_at_alloc: Callable[[InflightBranch, int], bool] | None = None
+        if unit is not None:
+            self._unit_predict = unit.predict
+            self._unit_resolve = unit.resolve
+            # The base hook returns the fetch-stage direction unchanged;
+            # only units that override it pay a call per branch.
+            if type(unit).at_alloc is not LocalBranchUnit.at_alloc:
+                self._unit_at_alloc = unit.at_alloc
         # Immutable timing parameters hoisted out of the per-branch path
         # (PipelineConfig is frozen, so these can never drift).
         cfg = self.config
@@ -126,6 +148,7 @@ class PipelineModel:
         self._exec_jitter = cfg.exec_jitter
         self._retire_width = cfg.retire_width
         self._btb_miss_penalty = cfg.btb_miss_penalty
+        self._rob_entries = cfg.rob_entries
 
     # ------------------------------------------------------------- #
     # public API
@@ -158,25 +181,38 @@ class PipelineModel:
         call — which is what lets the specialized-engine driver
         (:mod:`repro.pipeline.specialize`) interleave generic prefix
         simulation, specialized spans, and post-abort generic replay over
-        one uninterrupted window.  Returns the number of records consumed.
+        one uninterrupted window.  Records are read from
+        :attr:`TraceStream.records` directly (appending each to the replay
+        window); the stream seeks past them at the end.  Returns the
+        number of records consumed.
         """
-        next_record = stream.next_record
+        records = stream.records
+        start = stream.position
+        stop = len(records) if limit is None else min(len(records), start + limit)
+        window_append = stream.window.append
+        rob = self._rob
         retire_up_to = self._retire_up_to
         issue = self._issue
-        resolve_correct = self._resolve_correct
-        consumed = 0
-        while not stream.exhausted and (limit is None or consumed < limit):
-            record = next_record()
-            consumed += 1
-            retire_up_to(self._fe_cycle)
-            branch = issue(record, wrong_path=False)
+        mispredict_episode = self._mispredict_episode
+        base_train = self._base_train
+        unit_resolve = self._unit_resolve
+        for pos in range(start, stop):
+            record = records[pos]
+            window_append(record)
+            if rob and rob[0][0] <= self._fe_cycle:
+                retire_up_to(self._fe_cycle)
+            branch = issue(record, False)
             if branch is None:
                 continue
-            if branch.predicted_taken != branch.record.taken:
-                self._mispredict_episode(branch, stream)
+            if branch.predicted_taken != record.taken:
+                mispredict_episode(branch, stream)
             else:
-                resolve_correct(branch)
-        return consumed
+                # Correctly predicted branch: train everything, no flush.
+                base_train(branch.tage_pred, record.taken)
+                if unit_resolve is not None:
+                    unit_resolve(branch, (), branch.resolve_cycle)
+        stream.seek(stop)
+        return stop - start
 
     def current_cycle(self) -> int:
         """Front-end/retirement high-water mark, for per-segment deltas.
@@ -205,26 +241,28 @@ class PipelineModel:
         group = record.inst_gap + 1
         fetch_cycles = -(-group // self._fetch_width)
         fetch_cycle = self._fe_cycle + fetch_cycles - 1
+        taken = record.taken
 
-        # Taken control flow needs a BTB target; a miss stalls fetch.
         btb_bubble = 0
-        if record.taken and not wrong_path:
-            if self._btb_lookup(record.pc) is None:
-                self._btb_install(record.pc, record.target)
-                btb_bubble = self._btb_miss_penalty
-                stats.btb_misses += 1
-
         if wrong_path:
             alloc_cycle = fetch_cycle + self._frontend_depth
         else:
-            alloc_cycle = self._allocate(fetch_cycle, group)
+            # Taken control flow needs a BTB target; a miss stalls fetch.
+            if taken and self._btb_lookup(record.pc) is None:
+                self._btb_install(record.pc, record.target)
+                btb_bubble = self._btb_miss_penalty
+                stats.btb_misses += 1
+            alloc_cycle = fetch_cycle + self._frontend_depth
+            if alloc_cycle < self._last_alloc:
+                alloc_cycle = self._last_alloc
+            if self._rob_occupancy + group > self._rob_entries:
+                alloc_cycle = self._stall_for_rob(alloc_cycle, group)
+            self._last_alloc = alloc_cycle
 
         load_latency = 0
         if record.load_addr:
-            if self.hierarchy is not None:
-                load_latency = self.hierarchy.load_latency(record.load_addr)
-            else:
-                load_latency = 5
+            hier_load = self._load_latency
+            load_latency = hier_load(record.load_addr) if hier_load is not None else 5
 
         uid = self._next_uid
         self._next_uid = uid + 1
@@ -244,23 +282,41 @@ class PipelineModel:
         )
 
         branch: InflightBranch | None = None
-        if record.kind is BranchKind.COND:
+        if record.kind is _COND:
+            # Positional: uid, record, wrong_path, squashed, fetch_cycle,
+            # alloc_cycle, resolve_cycle (cheaper than keywords per branch).
             branch = InflightBranch(
-                uid=uid,
-                record=record,
-                wrong_path=wrong_path,
-                fetch_cycle=fetch_cycle,
-                alloc_cycle=alloc_cycle,
-                resolve_cycle=resolve_cycle,
+                uid, record, wrong_path, False, fetch_cycle, alloc_cycle, resolve_cycle
             )
-            self._predict(branch, fetch_cycle, alloc_cycle)
+            # Fetch-stage prediction: baseline lookup, history checkpoint,
+            # unit override, speculative history push.
+            pc = record.pc
+            base_pred = self._base_lookup(pc)
+            branch.tage_pred = base_pred
+            branch.hist_ckpt = self._base_checkpoint()
+            final = base_pred.taken
+            unit_predict = self._unit_predict
+            if unit_predict is not None:
+                final = unit_predict(branch, final, fetch_cycle)
+            branch.predicted_taken = final
+            self._base_spec_push(pc, final)
+            at_alloc = self._unit_at_alloc
+            if at_alloc is not None:
+                # Alloc-stage (deferred) hook.
+                final = at_alloc(branch, alloc_cycle)
+                if branch.early_resteer and not wrong_path:
+                    # Deferred override: squash the younger front-end
+                    # contents and restart fetch behind this branch.
+                    stats.early_resteers += 1
+                    restart = alloc_cycle + self.config.early_resteer_penalty
+                    if restart > self._fe_cycle:
+                        self._fe_cycle = restart
+                branch.predicted_taken = final
             if not wrong_path:
                 stats.cond_branches += 1
-                if record.taken:
+                if taken:
                     stats.taken_branches += 1
-                if branch.tage_pred is not None and (
-                    branch.tage_pred.taken != record.taken
-                ):
+                if base_pred.taken != taken:
                     stats.base_wrong += 1
             else:
                 stats.wrong_path_branches += 1
@@ -279,61 +335,29 @@ class PipelineModel:
                         cycle=fetch_cycle,
                         pc=record.pc,
                         predicted=branch.predicted_taken,
-                        actual=record.taken,
+                        actual=taken,
                         wrong_path=wrong_path,
                     )
                 )
 
         self._fe_cycle += fetch_cycles + btb_bubble
+        retire_cycle = completion if completion > resolve_cycle else resolve_cycle
         if not wrong_path:
             stats.branches += 1
             stats.instructions += group
-            retire_cycle = max(
-                completion,
-                resolve_cycle,
-                self._last_retire + -(-group // self._retire_width),
-            )
+            pace = self._last_retire + -(-group // self._retire_width)
+            if pace > retire_cycle:
+                retire_cycle = pace
             self._last_retire = retire_cycle
-            if branch is not None:
-                branch.retire_cycle = retire_cycle
             self._rob_occupancy += group
             self._rob.append((retire_cycle, group, branch))
-        else:
-            branch_retire = max(completion, resolve_cycle)
-            if branch is not None:
-                branch.retire_cycle = branch_retire
+        if branch is not None:
+            branch.retire_cycle = retire_cycle
         return branch
 
-    def _predict(self, branch: InflightBranch, fetch_cycle: int, alloc_cycle: int) -> None:
-        """Fetch-stage prediction plus alloc-stage (deferred) hook."""
-        pc = branch.record.pc
-        base_pred = self._base_lookup(pc)
-        branch.tage_pred = base_pred
-        branch.hist_ckpt = self._base_checkpoint()
-
-        final = base_pred.taken
-        unit = self.unit
-        if unit is not None:
-            final = unit.predict(branch, base_pred.taken, fetch_cycle)
-        branch.predicted_taken = final
-        self._base_spec_push(pc, final)
-
-        if unit is not None:
-            final = unit.at_alloc(branch, alloc_cycle)
-            if branch.early_resteer and not branch.wrong_path:
-                # Deferred override: squash the younger front-end
-                # contents and restart fetch behind this branch.
-                self.stats.early_resteers += 1
-                restart = alloc_cycle + self.config.early_resteer_penalty
-                if restart > self._fe_cycle:
-                    self._fe_cycle = restart
-            branch.predicted_taken = final
-
-    def _allocate(self, fetch_cycle: int, group: int) -> int:
-        """Allocation time for a group, honouring the ROB bound."""
-        cfg = self.config
-        alloc_cycle = max(fetch_cycle + cfg.frontend_depth, self._last_alloc)
-        while self._rob_occupancy + group > cfg.rob_entries:
+    def _stall_for_rob(self, alloc_cycle: int, group: int) -> int:
+        """Retire ROB groups until ``group`` fits; the stalled alloc cycle."""
+        while self._rob_occupancy + group > self._rob_entries:
             if not self._rob:
                 raise SimulationError(
                     f"instruction group of {group} exceeds ROB capacity"
@@ -348,45 +372,52 @@ class PipelineModel:
             if retire_cycle > alloc_cycle:
                 self.stats.rob_stall_cycles += retire_cycle - alloc_cycle
                 alloc_cycle = retire_cycle
-        self._last_alloc = alloc_cycle
         return alloc_cycle
 
     # ------------------------------------------------------------- #
     # resolution
 
-    def _resolve_correct(self, branch: InflightBranch) -> None:
-        """Correctly predicted branch: train everything, no flush."""
-        self.baseline.train(branch.tage_pred, branch.actual_taken)
-        if self.unit is not None:
-            self.unit.resolve(branch, (), branch.resolve_cycle)
-
     def _mispredict_episode(self, branch: InflightBranch, stream: TraceStream) -> None:
         """Wrong-path fetch, nested wrong-path repairs, flush, resteer."""
         cfg = self.config
+        stats = self.stats
+        unit_resolve = self._unit_resolve
+        recover = self._base_recover
         resolve = branch.resolve_cycle
         episode: list[InflightBranch] = []
         pending: list[InflightBranch] = []
         episode_start_fe = self._fe_cycle
-        wp_mispredicts_before = self.stats.wrong_path_mispredicts
+        wp_mispredicts_before = stats.wrong_path_mispredicts
 
         if cfg.wrong_path:
             replay = stream.recent(cfg.wrong_path_window)
+            n_replay = len(replay)
+            max_branches = cfg.wrong_path_max_branches
+            fetch_width = self._fetch_width
+            rob = self._rob
+            retire_up_to = self._retire_up_to
+            issue = self._issue
             index = 0
             produced = 0
-            while replay and produced < cfg.wrong_path_max_branches:
+            while n_replay and produced < max_branches:
                 # The back end keeps retiring older correct-path work
                 # while the front end runs down the wrong path.
-                self._retire_up_to(self._fe_cycle)
-                record = replay[index % len(replay)]
+                fe_cycle = self._fe_cycle
+                if rob and rob[0][0] <= fe_cycle:
+                    retire_up_to(fe_cycle)
+                record = replay[index % n_replay]
                 index += 1
-                group_cycles = -(-(record.inst_gap + 1) // cfg.fetch_width)
-                if self._fe_cycle + group_cycles - 1 >= resolve:
+                group_cycles = -(-(record.inst_gap + 1) // fetch_width)
+                if fe_cycle + group_cycles - 1 >= resolve:
                     break
-                wp_branch = self._issue(record, wrong_path=True)
+                wp_branch = issue(record, True)
                 if wp_branch is not None:
                     episode.append(wp_branch)
                     produced += 1
-                    if wp_branch.mispredicted and wp_branch.resolve_cycle < resolve:
+                    if (
+                        wp_branch.predicted_taken != record.taken
+                        and wp_branch.resolve_cycle < resolve
+                    ):
                         pending.append(wp_branch)
 
         # Wrong-path branches can resolve mispredicted before the real
@@ -398,24 +429,23 @@ class PipelineModel:
             flushed = [
                 b for b in episode if b.uid > wp_branch.uid and not b.squashed
             ]
-            self.stats.wrong_path_mispredicts += 1
+            stats.wrong_path_mispredicts += 1
             if wp_branch.hist_ckpt is not None:
-                self.baseline.recover(
-                    wp_branch.hist_ckpt, wp_branch.pc, wp_branch.actual_taken
-                )
-            if self.unit is not None:
-                self.unit.resolve(wp_branch, flushed, wp_branch.resolve_cycle)
+                recover(wp_branch.hist_ckpt, wp_branch.pc, wp_branch.actual_taken)
+            if unit_resolve is not None:
+                unit_resolve(wp_branch, flushed, wp_branch.resolve_cycle)
             for squashed in flushed:
                 squashed.squashed = True
 
         # The real resolution: flush everything younger, restore the
         # global history, train, repair, resteer.
         flushed = [b for b in episode if not b.squashed]
-        self.stats.mispredictions += 1
-        self.baseline.recover(branch.hist_ckpt, branch.pc, branch.actual_taken)
-        self.baseline.train(branch.tage_pred, branch.actual_taken)
-        if self.unit is not None:
-            self.unit.resolve(branch, flushed, resolve)
+        stats.mispredictions += 1
+        actual = branch.record.taken
+        recover(branch.hist_ckpt, branch.record.pc, actual)
+        self._base_train(branch.tage_pred, actual)
+        if unit_resolve is not None:
+            unit_resolve(branch, flushed, resolve)
         for squashed in flushed:
             squashed.squashed = True
         self._fe_cycle = resolve + cfg.resteer_penalty
@@ -438,8 +468,7 @@ class PipelineModel:
                         resolve_cycle=resolve,
                         wrong_path_branches=len(episode),
                         wrong_path_mispredicts=(
-                            self.stats.wrong_path_mispredicts
-                            - wp_mispredicts_before
+                            stats.wrong_path_mispredicts - wp_mispredicts_before
                         ),
                         flushed=len(flushed),
                     )

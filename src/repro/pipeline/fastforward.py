@@ -156,7 +156,7 @@ class FastForwardEngine:
             if record.kind is not cond:
                 continue
             processed += 1
-            # The fused update looks up with the pre-push history (as at
+            # The warm update looks up with the pre-push history (as at
             # fetch) and pushes the actual outcome before training — the
             # committed state a detailed run converges to after recovery.
             warm_update(pc, record.taken)

@@ -47,10 +47,9 @@ class GlobalPredictor(abc.ABC):
     #: True when ``lookup`` has no side effects on predictor or history
     #: state, so calling it twice for the same pc (with no state change
     #: in between) returns an identical prediction.  The specialized
-    #: engines (:mod:`repro.pipeline.specialize`) rely on this to retry
-    #: the generic predict path after :meth:`spec_resolve_correct`
-    #: declines; predictors that cannot promise it are simply never
-    #: specialized.
+    #: engine (:mod:`repro.pipeline.specialize`) relies on this to re-run
+    #: the generic predict path on a mispredicted branch; predictors
+    #: that cannot promise it are never specialized.
     pure_lookup: bool = False
 
     def __init__(self, history: GlobalHistory | None = None) -> None:
@@ -92,38 +91,14 @@ class GlobalPredictor(abc.ABC):
     def warm_update(self, pc: int, taken: bool) -> None:
         """Full functional update for the fast-forward warm window.
 
-        Equivalent to the committed-stream sequence lookup → history
-        push of the actual outcome → train, with no timing model in
-        between.  Predictors may override with a fused implementation
-        (TAGE does) — the semantics must stay identical, only the
-        per-branch object traffic may go.
+        The committed-stream sequence lookup → history push of the
+        actual outcome → train, with no timing model in between.  A
+        predictor may override it with a fused implementation whose
+        semantics stay identical.
         """
         prediction = self.lookup(pc)
         self.history.push(pc, taken)
         self.train(prediction, taken)
-
-    def spec_resolve_correct(self, pc: int, taken: bool) -> bool:
-        """Fused correct-path step for the specialized engines.
-
-        Equivalent to the committed-stream sequence ``lookup`` →
-        ``checkpoint`` (dropped unused) → ``spec_push(pc, predicted)`` →
-        ``train`` *when the prediction matches* ``taken`` — in that case
-        the state updates are applied and True is returned.  When the
-        prediction disagrees, **no state is touched** and False is
-        returned: the caller re-runs the generic predict path (valid
-        because :attr:`pure_lookup` predictors return the identical
-        prediction) and takes its misprediction episode.
-
-        Only meaningful for predictors with default ``checkpoint`` /
-        ``spec_push`` behaviour and :attr:`pure_lookup` True; the
-        specialization planner checks both before using it.
-        """
-        prediction = self.lookup(pc)
-        if prediction.taken != taken:
-            return False
-        self.history.push(pc, taken)
-        self.train(prediction, taken)
-        return True
 
     def recover(self, ckpt: HistoryCheckpoint, pc: int, taken: bool) -> None:
         """Misprediction repair: rewind history, insert the truth.

@@ -25,21 +25,50 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
-__all__ = ["FoldedHistory", "GlobalHistory", "HistoryCheckpoint"]
+__all__ = [
+    "DERIVED_MAX_LENGTH",
+    "FoldedHistory",
+    "GlobalHistory",
+    "HistoryCheckpoint",
+    "fold_value",
+]
+
+#: Folds over at most this many history bits are *derived*: a
+#: registered short fold has no maintained state, its value is computed
+#: from the low GHIST bits when read (:func:`fold_value`, or a table
+#: memoized per geometry as TAGE does).  Only longer folds are updated
+#: on every push and copied into every checkpoint.
+DERIVED_MAX_LENGTH = 13
+
+
+def fold_value(ghist: int, original_length: int, compressed_length: int) -> int:
+    """Chunk-XOR fold of the youngest ``original_length`` bits of ``ghist``.
+
+    This is the value the incremental :meth:`FoldedHistory.update`
+    maintains, computed from scratch.
+    """
+    window = ghist & ((1 << original_length) - 1)
+    mask = (1 << compressed_length) - 1
+    comp = 0
+    while window:
+        comp ^= window & mask
+        window >>= compressed_length
+    return comp
 
 
 class FoldedHistory:
-    """Incrementally folded view of the most recent history bits.
+    """Folded view of the most recent history bits.
 
     The fold is the XOR of consecutive ``compressed_length``-bit chunks of
     the youngest ``original_length`` bits of GHIST, maintained in O(1) per
     inserted bit.
 
-    A standalone fold stores its own value; once registered on a
-    :class:`GlobalHistory` the value lives in the owner's flat
-    ``fold_comps`` list (so push/checkpoint/restore touch one list
-    instead of N objects) and :attr:`comp` becomes a view onto that
-    slot.  Either way ``fold.comp`` reads and writes stay correct.
+    A standalone fold stores its own value (:meth:`update`,
+    :meth:`rebuild`).  Once registered on a :class:`GlobalHistory`,
+    :attr:`comp` becomes a read-only view: a long fold reads its slot of
+    the owner's flat ``fold_comps`` list (shared by every fold with the
+    same lengths), a short fold (``original_length <=``
+    :data:`DERIVED_MAX_LENGTH`) is derived from the owner's GHIST.
     """
 
     __slots__ = (
@@ -60,22 +89,19 @@ class FoldedHistory:
         self.original_length = original_length
         self._outpoint = original_length % compressed_length
         self._mask = (1 << compressed_length) - 1
-        self._owner: list[int] | None = None
-        self._slot = 0
+        self._owner: GlobalHistory | None = None
+        #: Slot in the owner's ``fold_comps``; -1 for a derived fold.
+        self._slot = -1
 
     @property
     def comp(self) -> int:
         """Current folded value (live view once registered)."""
         owner = self._owner
-        return self._comp if owner is None else owner[self._slot]
-
-    @comp.setter
-    def comp(self, value: int) -> None:
-        owner = self._owner
         if owner is None:
-            self._comp = value
-        else:
-            owner[self._slot] = value
+            return self._comp
+        if self._slot < 0:
+            return fold_value(owner.ghist, self.original_length, self.compressed_length)
+        return owner.fold_comps[self._slot]
 
     def update(self, ghist_after_insert: int, new_bit: int) -> None:
         """Fold in ``new_bit`` and fold out the bit leaving the window.
@@ -86,29 +112,25 @@ class FoldedHistory:
                 ``original_length``).
             new_bit: The bit just inserted (0 or 1).
         """
-        comp = (self.comp << 1) | new_bit
+        comp = (self._comp << 1) | new_bit
         comp ^= ((ghist_after_insert >> self.original_length) & 1) << self._outpoint
         comp ^= comp >> self.compressed_length
-        self.comp = comp & self._mask
+        self._comp = comp & self._mask
 
     def rebuild(self, ghist: int) -> None:
         """Recompute the fold from scratch (used after restore)."""
-        comp = 0
-        for chunk_start in range(0, self.original_length, self.compressed_length):
-            width = min(self.compressed_length, self.original_length - chunk_start)
-            chunk = (ghist >> chunk_start) & ((1 << width) - 1)
-            comp ^= chunk
-        self.comp = comp & self._mask
+        self._comp = fold_value(ghist, self.original_length, self.compressed_length)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class HistoryCheckpoint:
     """Pre-update snapshot carried by each in-flight branch.
 
-    ``folds`` is a flat list (one entry per registered fold, in
-    registration order) copied straight from the owner's live fold
-    state — a single C-level ``list.copy`` per branch instead of a
-    per-fold generator walk.
+    ``folds`` is a copy of the owner's maintained fold values (one per
+    distinct long fold, in registration order) — a single C-level
+    ``list.copy`` per branch.  Derived folds need no saving: they follow
+    ``ghist``.  Not frozen: a frozen dataclass pays an
+    ``object.__setattr__`` per field on construction, once per branch.
     """
 
     ghist: int
@@ -120,10 +142,13 @@ class GlobalHistory:
     """Speculative GHIST/PHIST with per-branch checkpoint/restore.
 
     Folded histories are registered by predictors (one or more per TAGE
-    table) and kept in sync on every push/restore.  The live fold values
-    are mirrored in :attr:`fold_comps`, a flat list indexed by
-    registration order, so the per-branch checkpoint is one list copy
-    and predictors can read fold state by slot without attribute chains.
+    table).  Only *maintained* folds — distinct ``(original_length,
+    compressed_length)`` pairs over more than :data:`DERIVED_MAX_LENGTH`
+    bits — are updated on every push; their values live in
+    :attr:`fold_comps`, a flat list the per-branch checkpoint copies and
+    predictors read by slot.  Shorter folds are derived from GHIST when
+    read.  (One packed integer for all maintained folds would make a
+    push cheaper but every read a wide shift; on kb8 that nets out even.)
     """
 
     __slots__ = (
@@ -132,8 +157,8 @@ class GlobalHistory:
         "max_length",
         "path_bits",
         "fold_comps",
-        "_folds",
         "_fold_params",
+        "_slots",
         "_ghist_mask",
         "_phist_mask",
     )
@@ -145,13 +170,13 @@ class GlobalHistory:
         self.phist = 0
         self.max_length = max_length
         self.path_bits = path_bits
-        self._folds: list[FoldedHistory] = []
-        #: Live fold values, one per registered fold in registration
-        #: order (registered folds' ``comp`` views read this list).
+        #: Live values of the maintained folds, one per slot.
         self.fold_comps: list[int] = []
-        #: Per-fold constants (slot, original_length, outpoint,
-        #: compressed_length, mask) unpacked in the push loop.
+        #: Per maintained fold: (slot, original_length, outpoint,
+        #: compressed_length, mask), unpacked in the push loop.
         self._fold_params: list[tuple[int, int, int, int, int]] = []
+        #: (original_length, compressed_length) -> maintained slot.
+        self._slots: dict[tuple[int, int], int] = {}
         # Keep one spare bit above max_length so folds can observe the
         # evicted bit before truncation.
         self._ghist_mask = (1 << (max_length + 1)) - 1
@@ -160,47 +185,36 @@ class GlobalHistory:
     def register_fold(self, fold: FoldedHistory) -> FoldedHistory:
         """Attach a folded history; it will track future pushes.
 
-        Returns the fold; its slot in :attr:`fold_comps` is
-        ``len(fold_comps) - 1`` at return time.
+        Returns the fold.  Its ``_slot`` is its index in
+        :attr:`fold_comps`, shared with any earlier fold of the same
+        lengths, or -1 when the fold is derived.
         """
-        if fold.original_length > self.max_length:
+        olen, clen = fold.original_length, fold.compressed_length
+        if olen > self.max_length:
             raise ConfigError(
-                f"fold window {fold.original_length} exceeds max history "
-                f"{self.max_length}"
+                f"fold window {olen} exceeds max history {self.max_length}"
             )
-        self._folds.append(fold)
-        fold.rebuild(self.ghist)
-        comps = self.fold_comps
-        slot = len(comps)
-        comps.append(fold.comp)
-        fold._owner = comps
+        fold._owner = self
+        if olen <= DERIVED_MAX_LENGTH:
+            fold._slot = -1
+            return fold
+        slot = self._slots.get((olen, clen))
+        if slot is None:
+            slot = self._slots[(olen, clen)] = len(self.fold_comps)
+            self.fold_comps.append(fold_value(self.ghist, olen, clen))
+            self._fold_params.append((slot, olen, fold._outpoint, clen, fold._mask))
         fold._slot = slot
-        self._fold_params.append(
-            (
-                slot,
-                fold.original_length,
-                fold._outpoint,
-                fold.compressed_length,
-                fold._mask,
-            )
-        )
         return fold
 
     def checkpoint(self) -> HistoryCheckpoint:
         """Snapshot taken before this branch's speculative update."""
-        return HistoryCheckpoint(
-            ghist=self.ghist,
-            phist=self.phist,
-            folds=self.fold_comps.copy(),
-        )
+        return HistoryCheckpoint(self.ghist, self.phist, self.fold_comps.copy())
 
     def push(self, pc: int, taken: bool) -> None:
         """Speculatively insert one branch outcome.
 
         The per-fold update is inlined (same arithmetic as
-        :meth:`FoldedHistory.update`) so the hottest loop in the whole
-        simulator pays tuple unpacks and list stores instead of method
-        calls and attribute chains.
+        :meth:`FoldedHistory.update`) over the maintained folds only.
         """
         ghist = ((self.ghist << 1) | (1 if taken else 0)) & self._ghist_mask
         self.ghist = ghist

@@ -19,12 +19,22 @@ Three storage presets mirror the paper's setups:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.errors import ConfigError
 from repro.predictors.base import GlobalPredictor, Prediction
-from repro.predictors.history import FoldedHistory, GlobalHistory
+from repro.predictors.history import FoldedHistory, GlobalHistory, fold_value
 
-__all__ = ["TageTableConfig", "TageConfig", "TagePredictor", "TageLookup"]
+__all__ = ["TageTableConfig", "TageConfig", "TagePredictor"]
+
+#: Provider-scan constants of a table with maintained folds: (table,
+#: log_entries, path_mask, pc_shift, index_slot, tag0_slot, tag1_slot,
+#: index_mask, tag_mask); the slots index the history's ``fold_comps``.
+_LongScan = tuple[int, int, int, int, int, int, int, int, int]
+#: ... and of a table with derived folds: (table, log_entries,
+#: path_mask, pc_shift, packed short folds, history window mask,
+#: index_mask, tag_mask).
+_ShortScan = tuple[int, int, int, int, tuple[int, ...], int, int, int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,25 +150,25 @@ class TageConfig:
         return cls(name="tage-57kb", bimodal_log=14, tables=tables)
 
 
-@dataclass(slots=True)
-class TageLookup:
-    """Private lookup payload threaded from ``lookup`` to ``train``.
+@lru_cache(maxsize=32)
+def _packed_short_folds(length: int, log: int, tag_bits: int) -> tuple[int, ...]:
+    """Derived folds of a short-history table, for every window value.
 
-    ``indices``/``tags`` are the per-table values computed once at
-    lookup time; ``train``/``_allocate`` reuse them instead of
-    re-hashing (the history has moved on by train time, so re-hashing
-    would also be *wrong*, not merely slow).
+    Entry ``w`` (the table's youngest ``length`` GHIST bits) packs the
+    index fold in the low ``log`` bits and the combined tag fold
+    ``tag0 ^ (tag1 << 1)`` above them, so one tuple read replaces three
+    maintained folds.  Memoized per geometry and built on first use;
+    ``length <= DERIVED_MAX_LENGTH`` caps it at 2**13 entries.
     """
-
-    indices: list[int]
-    tags: list[int]
-    provider: int  # table index, or -1 for bimodal
-    provider_pred: bool
-    alt_pred: bool
-    alt_table: int  # table of the alternate prediction, -1 for bimodal
-    bimodal_index: int
-    bimodal_pred: bool
-    weak_provider: bool  # provider entry looked newly allocated
+    tag1_bits = max(tag_bits - 1, 1)
+    return tuple(
+        fold_value(w, length, log)
+        | (
+            (fold_value(w, length, tag_bits) ^ (fold_value(w, length, tag1_bits) << 1))
+            << log
+        )
+        for w in range(1 << length)
+    )
 
 
 class TagePredictor(GlobalPredictor):
@@ -167,19 +177,29 @@ class TagePredictor(GlobalPredictor):
     The object owns its :class:`~repro.predictors.history.GlobalHistory`
     (with one index fold and two tag folds per table registered on it),
     so checkpoint/recover through the base-class API keeps folds
-    consistent.
+    consistent.  Tables over at most
+    :data:`~repro.predictors.history.DERIVED_MAX_LENGTH` history bits
+    read their folds from a memoized per-geometry table instead of
+    maintained state.
+
+    ``lookup`` returns a plain tuple as the prediction's ``meta``:
+    ``(indices, tags, provider, provider_pred, alt_pred, alt_table,
+    bimodal_index, weak_provider)``.  ``indices``/``tags`` are the
+    per-table values computed at lookup time; ``train`` reuses them
+    instead of re-hashing (the history has moved on by train time, so
+    re-hashing would also be *wrong*, not merely slow).  ``provider``
+    and ``alt_table`` are table numbers, -1 for the bimodal.
     """
 
     #: ``lookup`` only reads table/history state (see the provider scan)
-    #: — the specialized engines depend on this to re-run it after a
-    #: declined :meth:`spec_resolve_correct`.
+    #: — the specialized engine depends on this to re-run it on a
+    #: mispredicted branch.
     pure_lookup = True
 
     def __init__(self, config: TageConfig | None = None, seed: int = 0x5EED) -> None:
         self.config = config = config if config is not None else TageConfig.kb8()
-        super().__init__(
-            GlobalHistory(max_length=config.max_history, path_bits=config.path_bits)
-        )
+        history = GlobalHistory(max_length=config.max_history, path_bits=config.path_bits)
+        super().__init__(history)
         self.name = config.name
 
         self._bim_mask = (1 << config.bimodal_log) - 1
@@ -188,112 +208,77 @@ class TagePredictor(GlobalPredictor):
         self._ctr: list[list[int]] = []
         self._tag: list[list[int]] = []
         self._u: list[list[int]] = []
-        self._index_folds: list[FoldedHistory] = []
-        self._tag_folds0: list[FoldedHistory] = []
-        self._tag_folds1: list[FoldedHistory] = []
-        self._index_masks: list[int] = []
-        self._tag_masks: list[int] = []
-        #: Flat per-table constants consumed by the lookup loop:
-        #: (log, path_mask, pc_shift, index_slot, tag0_slot, tag1_slot,
-        #: index_mask, tag_mask), where the slots index the history's
-        #: ``fold_comps`` flat list.
-        self._lookup_params: list[
-            tuple[int, int, int, int, int, int, int, int]
-        ] = []
-        fold_comps = self.history.fold_comps
+        #: Per table: its (index, tag0, tag1) folds.
+        self.table_folds: list[tuple[FoldedHistory, FoldedHistory, FoldedHistory]] = []
+        long_scan: list[_LongScan] = []
+        short_scan: list[_ShortScan] = []
         for t, table in enumerate(config.tables):
             entries = table.entries
+            length, log, tag_bits = table.history_length, table.log_entries, table.tag_bits
             self._ctr.append([0] * entries)  # signed: -4..3 (3-bit)
             self._tag.append([0] * entries)
             self._u.append([0] * entries)
-            self._index_masks.append(entries - 1)
-            self._tag_masks.append((1 << table.tag_bits) - 1)
-            self._index_folds.append(
-                self.history.register_fold(
-                    FoldedHistory(table.history_length, table.log_entries)
-                )
+            folds = (
+                history.register_fold(FoldedHistory(length, log)),
+                history.register_fold(FoldedHistory(length, tag_bits)),
+                history.register_fold(FoldedHistory(length, max(tag_bits - 1, 1))),
             )
-            index_slot = len(fold_comps) - 1
-            self._tag_folds0.append(
-                self.history.register_fold(
-                    FoldedHistory(table.history_length, table.tag_bits)
+            self.table_folds.append(folds)
+            path_mask = (1 << min(length, 16)) - 1
+            pc_shift = log - (t % 3) - 1
+            imask, tmask = entries - 1, (1 << tag_bits) - 1
+            if folds[0]._slot < 0:  # the three folds share one window
+                packed = _packed_short_folds(length, log, tag_bits)
+                wmask = (1 << length) - 1
+                short_scan.append((t, log, path_mask, pc_shift, packed, wmask, imask, tmask))
+            else:
+                islot, slot0, slot1 = folds[0]._slot, folds[1]._slot, folds[2]._slot
+                long_scan.append(
+                    (t, log, path_mask, pc_shift, islot, slot0, slot1, imask, tmask)
                 )
-            )
-            self._tag_folds1.append(
-                self.history.register_fold(
-                    FoldedHistory(table.history_length, max(table.tag_bits - 1, 1))
-                )
-            )
-            self._lookup_params.append(
-                (
-                    table.log_entries,
-                    (1 << min(table.history_length, 16)) - 1,
-                    table.log_entries - (t % 3) - 1,
-                    index_slot,
-                    index_slot + 1,
-                    index_slot + 2,
-                    entries - 1,
-                    (1 << table.tag_bits) - 1,
-                )
-            )
-        self._fold_comps = fold_comps
+        # Per-table constants in provider-scan (top-down) order.  History
+        # lengths increase, so the short tables are the lowest ones.
+        self._long_scan = long_scan[::-1]
+        self._short_scan = short_scan[::-1]
+        self._fold_comps = history.fold_comps
 
         self._ctr_max = (1 << (config.counter_bits - 1)) - 1
         self._ctr_min = -(1 << (config.counter_bits - 1))
         self._u_max = (1 << config.useful_bits) - 1
         self._use_alt = 1 << (config.use_alt_bits - 1)
         self._use_alt_max = (1 << config.use_alt_bits) - 1
+        self._use_alt_threshold = (self._use_alt_max + 1) // 2
+        self._u_reset_period = config.u_reset_period
         self._updates_since_reset = 0
         self._rng_state = seed & 0xFFFFFFFF
         self._n_tables = len(config.tables)
-
-    # ----------------------------------------------------------------- #
-    # hashing
 
     def _rand(self) -> int:
         """Small deterministic LCG for allocation tie-breaking."""
         self._rng_state = (self._rng_state * 1664525 + 1013904223) & 0xFFFFFFFF
         return self._rng_state >> 16
 
-    def _table_index(self, pc: int, table: int) -> int:
-        cfg = self.config.tables[table]
-        log = cfg.log_entries
-        folded = self._index_folds[table].comp
-        path = self.history.phist & ((1 << min(cfg.history_length, 16)) - 1)
-        path ^= path >> log
-        pc_bits = pc >> 2
-        index = pc_bits ^ (pc_bits >> (log - (table % 3) - 1)) ^ folded ^ path
-        return index & self._index_masks[table]
-
-    def _table_tag(self, pc: int, table: int) -> int:
-        return (
-            (pc >> 2)
-            ^ self._tag_folds0[table].comp
-            ^ (self._tag_folds1[table].comp << 1)
-        ) & self._tag_masks[table]
-
     # ----------------------------------------------------------------- #
     # prediction
 
     def lookup(self, pc: int) -> Prediction:
+        # Index/tag hashing fused with the provider scan: one top-down
+        # pass over flat per-table constants.  Hashing stops as soon as
+        # the alternate provider is found — entries below it are never
+        # consulted by prediction, training, or allocation, so their
+        # slots legitimately stay zero.
         n = self._n_tables
-        # Inlined _table_index/_table_tag fused with the provider scan:
-        # one top-down pass over flat per-table constants, reading fold
-        # state by slot from the history's flat list.  Hashing stops as
-        # soon as the alternate provider is found — entries below it are
-        # never consulted by prediction, training, or allocation, so
-        # their slots legitimately stay zero.
         comps = self._fold_comps
-        phist = self.history.phist
+        history = self.history
+        ghist = history.ghist
+        phist = history.phist
         pc_bits = pc >> 2
         indices = [0] * n
         tags = [0] * n
         table_tags = self._tag
-        params = self._lookup_params
         provider = -1
         alt_table = -1
-        for t in range(n - 1, -1, -1):
-            log, path_mask, pc_shift, islot, s0, s1, imask, tmask = params[t]
+        for t, log, path_mask, pc_shift, islot, s0, s1, imask, tmask in self._long_scan:
             path = phist & path_mask
             path ^= path >> log
             index = (pc_bits ^ (pc_bits >> pc_shift) ^ comps[islot] ^ path) & imask
@@ -306,49 +291,49 @@ class TagePredictor(GlobalPredictor):
                 else:
                     alt_table = t
                     break
+        else:
+            # The index fold sits in the packed entry's low ``log`` bits
+            # (``imask`` drops the tag fold above them).
+            for t, log, path_mask, pc_shift, packed, wmask, imask, tmask in self._short_scan:
+                fold = packed[ghist & wmask]
+                path = phist & path_mask
+                path ^= path >> log
+                index = (pc_bits ^ (pc_bits >> pc_shift) ^ fold ^ path) & imask
+                tag = (pc_bits ^ (fold >> log)) & tmask
+                indices[t] = index
+                tags[t] = tag
+                if table_tags[t][index] == tag:
+                    if provider < 0:
+                        provider = t
+                    else:
+                        alt_table = t
+                        break
 
         bim_index = pc_bits & self._bim_mask
-        bim_pred = self._bimodal[bim_index] >= 2
-
-        alt_pred = (
-            self._ctr[alt_table][indices[alt_table]] >= 0
-            if alt_table >= 0
-            else bim_pred
-        )
-        if provider >= 0:
-            ctr = self._ctr[provider][indices[provider]]
-            provider_pred = ctr >= 0
-            weak = ctr in (-1, 0) and self._u[provider][indices[provider]] == 0
-            use_alt = weak and self._use_alt >= (self._use_alt_max + 1) // 2
-            taken = alt_pred if use_alt else provider_pred
+        if alt_table >= 0:
+            alt_pred = self._ctr[alt_table][indices[alt_table]] >= 0
         else:
-            provider_pred = bim_pred
+            alt_pred = self._bimodal[bim_index] >= 2
+        if provider >= 0:
+            index = indices[provider]
+            ctr = self._ctr[provider][index]
+            provider_pred = ctr >= 0
+            weak = (ctr == 0 or ctr == -1) and self._u[provider][index] == 0
+            if weak and self._use_alt >= self._use_alt_threshold:
+                taken = alt_pred
+            else:
+                taken = provider_pred
+        else:
+            provider_pred = taken = alt_pred
             weak = False
-            taken = bim_pred
-
-        meta = TageLookup(
-            indices=indices,
-            tags=tags,
-            provider=provider,
-            provider_pred=provider_pred,
-            alt_pred=alt_pred,
-            alt_table=alt_table,
-            bimodal_index=bim_index,
-            bimodal_pred=bim_pred,
-            weak_provider=weak,
+        return Prediction(
+            pc,
+            taken,
+            (indices, tags, provider, provider_pred, alt_pred, alt_table, bim_index, weak),
         )
-        return Prediction(pc=pc, taken=taken, meta=meta)
 
     # ----------------------------------------------------------------- #
     # training
-
-    def _update_counter(self, table: int, index: int, taken: bool) -> None:
-        ctr = self._ctr[table][index]
-        if taken:
-            if ctr < self._ctr_max:
-                self._ctr[table][index] = ctr + 1
-        elif ctr > self._ctr_min:
-            self._ctr[table][index] = ctr - 1
 
     def _update_bimodal(self, index: int, taken: bool) -> None:
         value = self._bimodal[index]
@@ -358,241 +343,54 @@ class TagePredictor(GlobalPredictor):
         elif value > 0:
             self._bimodal[index] = value - 1
 
-    def _allocate(self, meta: TageLookup, taken: bool) -> None:
+    def _allocate(
+        self, indices: list[int], tags: list[int], provider: int, taken: bool
+    ) -> None:
         """On a misprediction, claim an entry with longer history."""
-        start = meta.provider + 1
-        if start >= self._n_tables:
+        n = self._n_tables
+        start = provider + 1
+        if start >= n:
             return
         # Random skew so allocation pressure spreads across tables.
-        if self._n_tables - start > 1 and (self._rand() & 3) == 0:
+        if n - start > 1 and (self._rand() & 3) == 0:
             start += 1
-            if start >= self._n_tables:
-                return
-        for t in range(start, self._n_tables):
-            index = meta.indices[t]
-            if self._u[t][index] == 0:
-                self._ctr[t][index] = 0 if taken else -1
-                self._tag[t][index] = meta.tags[t]
-                return
-        # No victim: age candidates so a future allocation succeeds.
-        for t in range(start, self._n_tables):
-            index = meta.indices[t]
-            if self._u[t][index] > 0:
-                self._u[t][index] -= 1
-
-    def train(self, prediction: Prediction, taken: bool) -> None:
-        meta: TageLookup = prediction.meta
-        final_pred = prediction.taken
-
-        self._updates_since_reset += 1
-        if self._updates_since_reset >= self.config.u_reset_period:
-            self._updates_since_reset = 0
-            self._age_useful()
-
-        if meta.provider >= 0:
-            provider, index = meta.provider, meta.indices[meta.provider]
-            # Track whether the alternate would have been the better call
-            # for newly allocated entries.
-            if meta.weak_provider and meta.provider_pred != meta.alt_pred:
-                if meta.alt_pred == taken:
-                    if self._use_alt < self._use_alt_max:
-                        self._use_alt += 1
-                elif self._use_alt > 0:
-                    self._use_alt -= 1
-            self._update_counter(provider, index, taken)
-            if meta.alt_table < 0:
-                # The bimodal was the alternate; keep it trained too so
-                # entries can be recycled without losing the base case.
-                self._update_bimodal(meta.bimodal_index, taken)
-            if meta.provider_pred != meta.alt_pred:
-                u = self._u[provider][index]
-                if meta.provider_pred == taken:
-                    if u < self._u_max:
-                        self._u[provider][index] = u + 1
-                elif u > 0:
-                    self._u[provider][index] = u - 1
-        else:
-            self._update_bimodal(meta.bimodal_index, taken)
-
-        if final_pred != taken:
-            self._allocate(meta, taken)
-
-    def warm_update(self, pc: int, taken: bool) -> None:
-        """Fused warm-window update: lookup + push + train in one pass.
-
-        Bit-identical in effect to ``train(lookup(pc), taken)`` with the
-        actual outcome pushed into the history in between (the committed
-        state any exact run converges to), but with the Prediction and
-        TageLookup payloads elided — the fast-forward warm window calls
-        this once per conditional branch, where the allocation traffic
-        of the generic path costs more than the table work itself.
-        """
-        n = self._n_tables
-        comps = self._fold_comps
-        phist = self.history.phist
-        pc_bits = pc >> 2
-        indices = [0] * n
-        tags = [0] * n
-        table_tags = self._tag
-        params = self._lookup_params
-        provider = -1
-        alt_table = -1
-        for t in range(n - 1, -1, -1):
-            log, path_mask, pc_shift, islot, s0, s1, imask, tmask = params[t]
-            path = phist & path_mask
-            path ^= path >> log
-            index = (pc_bits ^ (pc_bits >> pc_shift) ^ comps[islot] ^ path) & imask
-            tag = (pc_bits ^ comps[s0] ^ (comps[s1] << 1)) & tmask
-            indices[t] = index
-            tags[t] = tag
-            if table_tags[t][index] == tag:
-                if provider < 0:
-                    provider = t
-                else:
-                    alt_table = t
-                    break
-
-        bim_index = pc_bits & self._bim_mask
-        bim_pred = self._bimodal[bim_index] >= 2
-        alt_pred = (
-            self._ctr[alt_table][indices[alt_table]] >= 0
-            if alt_table >= 0
-            else bim_pred
-        )
-        if provider >= 0:
-            ctr = self._ctr[provider][indices[provider]]
-            provider_pred = ctr >= 0
-            weak = ctr in (-1, 0) and self._u[provider][indices[provider]] == 0
-            use_alt = weak and self._use_alt >= (self._use_alt_max + 1) // 2
-            final_pred = alt_pred if use_alt else provider_pred
-        else:
-            provider_pred = bim_pred
-            weak = False
-            final_pred = bim_pred
-
-        self.history.push(pc, taken)
-
-        self._updates_since_reset += 1
-        if self._updates_since_reset >= self.config.u_reset_period:
-            self._updates_since_reset = 0
-            self._age_useful()
-
-        if provider >= 0:
-            index = indices[provider]
-            if weak and provider_pred != alt_pred:
-                if alt_pred == taken:
-                    if self._use_alt < self._use_alt_max:
-                        self._use_alt += 1
-                elif self._use_alt > 0:
-                    self._use_alt -= 1
-            ctr_row = self._ctr[provider]
-            ctr = ctr_row[index]
-            if taken:
-                if ctr < self._ctr_max:
-                    ctr_row[index] = ctr + 1
-            elif ctr > self._ctr_min:
-                ctr_row[index] = ctr - 1
-            if alt_table < 0:
-                self._update_bimodal(bim_index, taken)
-            if provider_pred != alt_pred:
-                u_row = self._u[provider]
-                u = u_row[index]
-                if provider_pred == taken:
-                    if u < self._u_max:
-                        u_row[index] = u + 1
-                elif u > 0:
-                    u_row[index] = u - 1
-        else:
-            self._update_bimodal(bim_index, taken)
-
-        if final_pred != taken:
-            start = provider + 1
             if start >= n:
                 return
-            if n - start > 1 and (self._rand() & 3) == 0:
-                start += 1
-                if start >= n:
-                    return
-            u_tables = self._u
-            for t in range(start, n):
-                index = indices[t]
-                if u_tables[t][index] == 0:
-                    self._ctr[t][index] = 0 if taken else -1
-                    self._tag[t][index] = tags[t]
-                    return
-            for t in range(start, n):
-                index = indices[t]
-                if u_tables[t][index] > 0:
-                    u_tables[t][index] -= 1
+        u_tables = self._u
+        for t in range(start, n):
+            index = indices[t]
+            if u_tables[t][index] == 0:
+                self._ctr[t][index] = 0 if taken else -1
+                self._tag[t][index] = tags[t]
+                return
+        # No victim: age candidates so a future allocation succeeds.
+        for t in range(start, n):
+            index = indices[t]
+            if u_tables[t][index] > 0:
+                u_tables[t][index] -= 1
 
-    def spec_resolve_correct(self, pc: int, taken: bool) -> bool:
-        """Fused correct-path step: lookup, and if right, push + train.
+    def train(self, prediction: Prediction, taken: bool) -> None:
+        (
+            indices,
+            tags,
+            provider,
+            provider_pred,
+            alt_pred,
+            alt_table,
+            bim_index,
+            weak,
+        ) = prediction.meta
 
-        One provider scan serves both the prediction and the training
-        updates, with the ``Prediction``/``TageLookup`` payloads elided —
-        the same fusion as :meth:`warm_update`, but for the speculative
-        committed path: the history push inserts the *predicted*
-        direction, which on this path equals ``taken``.  Returns False
-        with **no state changed** when the prediction is wrong (the scan
-        is pure), so the caller can fall back to the generic
-        lookup/checkpoint/push sequence and its misprediction episode;
-        ``final_pred == taken`` on the True path means the allocation
-        branch of :meth:`train` is unreachable and is dropped here.
-        """
-        n = self._n_tables
-        comps = self._fold_comps
-        phist = self.history.phist
-        pc_bits = pc >> 2
-        indices = [0] * n
-        table_tags = self._tag
-        params = self._lookup_params
-        provider = -1
-        alt_table = -1
-        for t in range(n - 1, -1, -1):
-            log, path_mask, pc_shift, islot, s0, s1, imask, tmask = params[t]
-            path = phist & path_mask
-            path ^= path >> log
-            index = (pc_bits ^ (pc_bits >> pc_shift) ^ comps[islot] ^ path) & imask
-            indices[t] = index
-            if table_tags[t][index] == (
-                (pc_bits ^ comps[s0] ^ (comps[s1] << 1)) & tmask
-            ):
-                if provider < 0:
-                    provider = t
-                else:
-                    alt_table = t
-                    break
-
-        bim_index = pc_bits & self._bim_mask
-        bim_pred = self._bimodal[bim_index] >= 2
-        alt_pred = (
-            self._ctr[alt_table][indices[alt_table]] >= 0
-            if alt_table >= 0
-            else bim_pred
-        )
-        if provider >= 0:
-            ctr = self._ctr[provider][indices[provider]]
-            provider_pred = ctr >= 0
-            weak = ctr in (-1, 0) and self._u[provider][indices[provider]] == 0
-            use_alt = weak and self._use_alt >= (self._use_alt_max + 1) // 2
-            final_pred = alt_pred if use_alt else provider_pred
-        else:
-            provider_pred = bim_pred
-            weak = False
-            final_pred = bim_pred
-
-        if final_pred != taken:
-            return False
-
-        self.history.push(pc, taken)
-
-        self._updates_since_reset += 1
-        if self._updates_since_reset >= self.config.u_reset_period:
-            self._updates_since_reset = 0
+        updates = self._updates_since_reset + 1
+        if updates >= self._u_reset_period:
+            updates = 0
             self._age_useful()
+        self._updates_since_reset = updates
 
         if provider >= 0:
             index = indices[provider]
+            # Track whether the alternate would have been the better call
+            # for newly allocated entries.
             if weak and provider_pred != alt_pred:
                 if alt_pred == taken:
                     if self._use_alt < self._use_alt_max:
@@ -606,8 +404,6 @@ class TagePredictor(GlobalPredictor):
                     ctr_row[index] = ctr + 1
             elif ctr > self._ctr_min:
                 ctr_row[index] = ctr - 1
-            if alt_table < 0:
-                self._update_bimodal(bim_index, taken)
             if provider_pred != alt_pred:
                 u_row = self._u[provider]
                 u = u_row[index]
@@ -616,9 +412,13 @@ class TagePredictor(GlobalPredictor):
                         u_row[index] = u + 1
                 elif u > 0:
                     u_row[index] = u - 1
-        else:
+        if alt_table < 0:
+            # The bimodal provided or was the alternate; keep it trained
+            # so entries can be recycled without losing the base case.
             self._update_bimodal(bim_index, taken)
-        return True
+
+        if prediction.taken != taken:
+            self._allocate(indices, tags, provider, taken)
 
     def fast_update(self, pc: int, taken: bool) -> None:
         """Fast-forward touch: bimodal only, no tagged-table work.

@@ -90,8 +90,13 @@ class TestBitIdentity:
         records = _records(n=3000)
         generic, specialized, info = _run_both(system, records)
         assert specialized == generic
-        assert info["engine"] == "specialized"
-        assert info["specialized_branches"] == 2000
+        if resolve_system(system).is_baseline:
+            assert info["engine"] == "specialized"
+            assert info["specialized_branches"] == 2000
+        else:
+            # Local-unit systems are vetoed and run generic throughout.
+            assert info["engine"] == "generic"
+            assert info["reason"] == "local unit attached"
 
     def test_random_systems_on_synthetic_traces(self):
         # Property-style sweep: seeded random (system, trace) pairings,
@@ -185,12 +190,13 @@ class TestPlanning:
         assert decision.template == "tage"
         assert decision.tage is not None
 
-    def test_unit_system_gets_unit_template(self):
+    def test_unit_system_is_vetoed(self):
         records = _records(n=1200)
-        decision, _ = plan_specialization(
+        decision, reason = plan_specialization(
             _model("forward-walk-coalesce"), records, 1000
         )
-        assert decision.template == "unit"
+        assert decision is None
+        assert reason == "local unit attached"
 
     def test_impure_lookup_predictor_declines(self):
         # Spec-string table predictors train inside lookup; the planner
@@ -275,13 +281,14 @@ class TestGeneratedSource:
     def _decisions(self):
         records = _records(n=1200)
         tage, _ = plan_specialization(_model("baseline-tage"), records, 1000)
-        unit, _ = plan_specialization(
-            _model("forward-walk-coalesce"), records, 1000
-        )
-        # No stock system plans "nounit" today (pure-lookup non-TAGE
-        # predictors), so exercise its emitter directly.
-        nounit = replace(tage, template="nounit", tage=None)
-        return [tage, unit, nounit]
+        # Exercise the emitters' other arms: no loads (guard), no
+        # hierarchy, no wrong-path replay.
+        return [
+            tage,
+            replace(tage, has_loads=False),
+            replace(tage, has_hierarchy=False),
+            replace(tage, wrong_path=False),
+        ]
 
     def test_all_templates_generate_parseable_source(self):
         import ast
