@@ -14,9 +14,6 @@ PR leaves a perf trajectory the next one can be compared against:
 * :func:`measure_batch` — the columnar batch sweep kernel
   (:mod:`repro.pipeline.batch`) vs the exact scalar engine on a
   16-config table-predictor sizing grid sharing one workload trace;
-* :func:`measure_specialize` — the trace-guided specialized engine
-  (:mod:`repro.pipeline.specialize`) vs the generic exact engine,
-  with a bit-identity check and a forced guard-abort probe;
 * :func:`profile_top` — cProfile hotspots of one run, for digging into
   a regression the numbers surface.
 
@@ -55,13 +52,11 @@ __all__ = [
     "DEFAULT_SYSTEMS",
     "REFERENCE_BRANCHES_PER_S",
     "SAMPLING_BRANCHES",
-    "SPECIALIZE_BRANCHES",
     "resolve_systems",
     "measure_throughput",
     "measure_warm_sweep",
     "measure_sampling",
     "measure_batch",
-    "measure_specialize",
     "profile_top",
     "run_perf",
 ]
@@ -339,110 +334,6 @@ def measure_batch(
     }
 
 
-#: Trace length for the specialization benchmark.  Long enough that the
-#: fixed costs of the specialized path (profile prefix, planning,
-#: codegen + compile) amortise to their steady-state share; the
-#: acceptance bar (>=2x exact-path branches/sec on ``baseline-tage``,
-#: bit-identical stats) is measured at this length.
-SPECIALIZE_BRANCHES = 100_000
-
-
-def _stats_identical(a: Any, b: Any) -> bool:
-    """Bit-identity of the stats two exact runs report."""
-    return bool(
-        a.ipc == b.ipc
-        and a.mpki == b.mpki
-        and a.instructions == b.instructions
-        and a.cycles == b.cycles
-        and a.mispredictions == b.mispredictions
-    )
-
-
-def measure_specialize(
-    spec: WorkloadSpec,
-    systems: Sequence[SystemConfig],
-    n_branches: int = SPECIALIZE_BRANCHES,
-    repeats: int = 3,
-) -> dict[str, Any]:
-    """Generic vs specialized exact engine: wall-clock and bit-identity.
-
-    Runs each system both ways (cold, best of ``repeats``) and reports
-    the speedup together with ``stats_identical`` — the specialized
-    engine's whole contract is *identical stats, only faster*, so a
-    speedup with non-identical stats is a bug, not a win.  A final
-    forced guard-abort probe (``REPRO_SPECIALIZE_FORCE_ABORT`` midway
-    through the trace) checks that the abort path — restore from the
-    last checkpoint, finish on the generic engine — is bit-identical
-    too, and that the abort counters surfaced in the manifest.
-    """
-    from repro.harness.specialize import SPECIALIZE_FORCE_ABORT_ENV
-
-    load_trace(spec, n_branches)
-    rows: dict[str, Any] = {}
-    for system in systems:
-        generic_wall = special_wall = float("inf")
-        generic = special = None
-        for _ in range(max(1, repeats)):
-            t0 = perf_counter()
-            generic = run_single(spec, system, n_branches, use_result_cache=False)
-            generic_wall = min(generic_wall, perf_counter() - t0)
-            t0 = perf_counter()
-            special = run_single(
-                spec, system, n_branches, use_result_cache=False, specialize=True
-            )
-            special_wall = min(special_wall, perf_counter() - t0)
-        assert generic is not None and special is not None
-        assert special.manifest is not None
-        info = dict(special.manifest.get("specialize", {}))
-        rows[system.name] = {
-            "generic_wall_s": round(generic_wall, 6),
-            "specialized_wall_s": round(special_wall, 6),
-            "speedup": round(generic_wall / special_wall, 3) if special_wall else 0.0,
-            "generic_branches_per_s": round(n_branches / generic_wall, 1),
-            "specialized_branches_per_s": round(n_branches / special_wall, 1),
-            "stats_identical": _stats_identical(generic, special),
-            "engine": info.get("engine"),
-            "reason": info.get("reason"),
-            "template": info.get("template"),
-            "specialized_branches": info.get("specialized_branches"),
-            "checkpoints": info.get("checkpoints"),
-        }
-    # Abort probe on the first system: trip a guard midway and confirm
-    # the generic-finish path reproduces the generic stats exactly.
-    abort: dict[str, Any] | None = None
-    if systems:
-        system = systems[0]
-        generic = run_single(spec, system, n_branches, use_result_cache=False)
-        old = os.environ.get(SPECIALIZE_FORCE_ABORT_ENV)
-        os.environ[SPECIALIZE_FORCE_ABORT_ENV] = str(n_branches // 2)
-        try:
-            aborted = run_single(
-                spec, system, n_branches, use_result_cache=False, specialize=True
-            )
-        finally:
-            if old is None:
-                os.environ.pop(SPECIALIZE_FORCE_ABORT_ENV, None)
-            else:
-                os.environ[SPECIALIZE_FORCE_ABORT_ENV] = old
-        assert aborted.manifest is not None
-        info = dict(aborted.manifest.get("specialize", {}))
-        abort = {
-            "system": system.name,
-            "forced_at": n_branches // 2,
-            "aborted": info.get("aborted"),
-            "guard": info.get("guard"),
-            "guards_failed": info.get("guards_failed"),
-            "aborts": info.get("aborts"),
-            "stats_identical": _stats_identical(generic, aborted),
-        }
-    return {
-        "workload": spec.name,
-        "branches": n_branches,
-        "systems": rows,
-        "abort_probe": abort,
-    }
-
-
 def profile_top(
     spec: WorkloadSpec,
     system: SystemConfig,
@@ -469,15 +360,13 @@ def run_perf(
     out: str | Path | None = "BENCH_perf.json",
     sampling_branches: int | None = SAMPLING_BRANCHES,
     batch: bool = True,
-    specialize_branches: int | None = SPECIALIZE_BRANCHES,
 ) -> dict[str, Any]:
     """Measure throughput + warm-sweep reuse and write ``BENCH_perf.json``.
 
     Returns the written payload.  ``out=None`` skips the file write
     (used by the CI smoke path's dry invocations and by tests);
     ``sampling_branches=None`` skips the (comparatively slow) sampled
-    vs exact section; ``batch=False`` skips the batch-kernel section;
-    ``specialize_branches=None`` skips the specialized-engine section.
+    vs exact section; ``batch=False`` skips the batch-kernel section.
     """
     spec = get_workload(workload)
     configs = resolve_systems(systems)
@@ -489,11 +378,6 @@ def run_perf(
         else None
     )
     batch_section = measure_batch(spec, branches, repeats=repeats) if batch else None
-    specialize_section = (
-        measure_specialize(spec, configs, specialize_branches, repeats=repeats)
-        if specialize_branches is not None
-        else None
-    )
     throughput: dict[str, Any] = {}
     for sample in samples:
         row: dict[str, Any] = {
@@ -515,7 +399,6 @@ def run_perf(
         "warm_sweep": {key: round(value, 6) for key, value in warm.items()},
         "sampling": sampling,
         "batch": batch_section,
-        "specialize": specialize_section,
         "env": {
             "python": platform.python_version(),
             "platform": f"{sys.platform}-{platform.machine()}",

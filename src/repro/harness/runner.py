@@ -245,7 +245,6 @@ def run_single(
     pipeline: PipelineConfig | None = None,
     use_result_cache: bool | None = None,
     sampling: SamplingConfig | None = None,
-    specialize: bool = False,
 ) -> RunResult:
     """Simulate one system on one workload.
 
@@ -259,32 +258,11 @@ def run_single(
     (:func:`repro.harness.sampling.run_sampled`); ``None`` or a config
     with ``mode="off"`` runs the exact simulation, bit-identically to
     runs made before sampling existed.
-
-    ``specialize`` requests the trace-guided codegen fast path
-    (:func:`repro.pipeline.specialize.run_specialized`) — bit-identical
-    to the generic exact engine by construction.  Sampling and active
-    telemetry force the generic engine: a sampled estimate is not an
-    exact run, and specialized code elides the telemetry hooks.  A
-    specialization-requested exact run carries an ``engine`` manifest
-    tag (folded into ``config_hash``), and the decision the planner
-    actually took is attached under ``manifest["specialize"]`` after
-    hashing.
     """
     pipeline_cfg = pipeline if pipeline is not None else PipelineConfig()
     tel = TELEMETRY
-    use_specialize = (
-        specialize
-        and not (sampling is not None and sampling.enabled)
-        and not tel.enabled
-    )
-    engine_tag = None
-    if use_specialize:
-        from repro.harness.specialize import specialize_engine_tag
-
-        engine_tag = specialize_engine_tag()
     manifest = build_manifest(
-        spec, system, n_branches, pipeline_cfg, sampling=sampling,
-        engine=engine_tag,
+        spec, system, n_branches, pipeline_cfg, sampling=sampling
     ).as_dict()
     result_cache = active_cache(use_result_cache)
     if result_cache is not None:
@@ -304,25 +282,6 @@ def run_single(
     t0 = perf_counter()
     if sampling is not None and sampling.enabled:
         stats = run_sampled(model, records, sampling)
-    elif use_specialize:
-        from repro.harness.specialize import (
-            specialize_checkpoint_interval,
-            specialize_force_abort,
-            specialize_profile_branches,
-        )
-        from repro.pipeline.specialize import run_specialized
-
-        stats, spec_info = run_specialized(
-            model,
-            records,
-            config_hash=manifest["config_hash"],
-            profile_branches=specialize_profile_branches(),
-            checkpoint_interval=specialize_checkpoint_interval(),
-            force_abort_at=specialize_force_abort(),
-        )
-        # Attached after build_manifest computed config_hash: the
-        # decision describes the run, it must not shape the cache key.
-        manifest["specialize"] = spec_info
     else:
         stats = model.run(records)
     manifest["wall_s"] = perf_counter() - t0
@@ -398,10 +357,10 @@ def validate_shard(shard: tuple[int, int]) -> tuple[int, int]:
     """Check ``(k, n)`` shard coordinates, rejecting out-of-range pairs.
 
     Every consumer of ``--shard K/N`` — the CLI parser, the matrix
-    runner, the sharded (remote-stub) executor, and the service's sweep
-    requests — funnels through this check, so ``K > N``, ``K < 1`` and
-    ``N < 1`` all fail loudly with a :class:`ConfigError` instead of
-    silently selecting an empty or wrong partition.
+    runner, and the service's sweep requests — funnels through this
+    check, so ``K > N``, ``K < 1`` and ``N < 1`` all fail loudly with
+    a :class:`ConfigError` instead of silently selecting an empty or
+    wrong partition.
     """
     k, n = shard
     if n < 1 or not 1 <= k <= n:
@@ -467,12 +426,8 @@ def run_matrix(
     unchanged.  Telemetry capture forces the exact engine — batch
     results carry no per-run event streams.
 
-    ``specialize`` is the tri-state gate for the trace-guided codegen
-    fast path (:mod:`repro.pipeline.specialize`): ``True`` enables it,
-    ``False`` forces it off, ``None`` defers to ``REPRO_SPECIALIZE``.
-    Specialized runs are bit-identical to exact runs; sampling and
-    telemetry force the generic engine per job (see
-    :func:`run_single`).
+    ``specialize`` is accepted and ignored, so existing callers keep
+    working: every exact run takes the one generic engine.
 
     This is a thin wrapper over :class:`repro.harness.scheduler.Scheduler`
     — the same planning/dispatch path the ``repro serve`` service uses —
@@ -480,13 +435,10 @@ def run_matrix(
     """
     from repro.harness.batch import BatchExecutor, batch_enabled
     from repro.harness.scheduler import Scheduler, default_executor
-    from repro.harness.specialize import specialize_enabled
 
     use_batch = batch_enabled(batch)
-    use_specialize = specialize_enabled(specialize)
     if TELEMETRY.enabled:
         use_batch = False
-        use_specialize = False
     scheduler = Scheduler(use_result_cache=use_result_cache)
     jobs = scheduler.plan(
         workloads,
@@ -496,7 +448,6 @@ def run_matrix(
         sampling=sampling,
         shard=shard,
         batch=use_batch,
-        specialize=use_specialize,
     )
     executor = default_executor(
         len(jobs), len(systems), parallel=parallel, workers=workers

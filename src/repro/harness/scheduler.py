@@ -65,33 +65,17 @@ class SimJob:
     #: runs can never diverge — a batch job's cache entry is keyed with
     #: ``engine: "batch"`` and is invisible to exact-timing requests.
     batch: bool = False
-    #: Requests the trace-guided specialized engine (bit-identical to
-    #: exact; see :mod:`repro.pipeline.specialize`).  Like ``batch``,
-    #: set at plan time so the manifest's ``engine`` tag — which folds
-    #: ``SPECIALIZE_VERSION`` into ``config_hash`` — matches what
-    #: :func:`~repro.harness.runner.run_single` actually does.  Sampled
-    #: jobs ignore it (and drop the tag), mirroring run_single.
-    specialize: bool = False
 
     def manifest(self) -> dict[str, Any]:
         """The provenance manifest this job's run would carry."""
         pipeline_cfg = self.pipeline if self.pipeline is not None else PipelineConfig()
-        engine = None
-        if self.batch:
-            engine = "batch"
-        elif self.specialize and not (
-            self.sampling is not None and self.sampling.enabled
-        ):
-            from repro.harness.specialize import specialize_engine_tag
-
-            engine = specialize_engine_tag()
         return build_manifest(
             self.spec,
             self.system,
             self.n_branches,
             pipeline_cfg,
             sampling=self.sampling,
-            engine=engine,
+            engine="batch" if self.batch else None,
         ).as_dict()
 
 
@@ -115,7 +99,6 @@ def execute_job(job: SimJob) -> Any:
         job.pipeline,
         job.use_result_cache,
         job.sampling,
-        specialize=job.specialize,
     )
 
 
@@ -167,7 +150,6 @@ class Scheduler:
         sampling: SamplingConfig | None = None,
         shard: tuple[int, int] | None = None,
         batch: bool = False,
-        specialize: bool = False,
     ) -> list[SimJob]:
         """The workload-major job list, optionally shard-sliced.
 
@@ -175,10 +157,7 @@ class Scheduler:
         are marked ``batch=True`` whenever enough of them share one
         workload (see :func:`mark_batch_jobs`); marking happens *after*
         shard slicing so each shard makes its own grouping decision
-        from the jobs it will actually run.  ``specialize=True``
-        requests the trace-guided codegen engine on every exact job
-        (batch-marked jobs keep their ``batch`` engine — the kernel is
-        already vectorised).
+        from the jobs it will actually run.
         """
         from repro.harness.runner import shard_bounds
 
@@ -190,7 +169,6 @@ class Scheduler:
                 pipeline=pipeline,
                 use_result_cache=self.use_result_cache,
                 sampling=sampling,
-                specialize=specialize,
             )
             for spec in workloads
             for system in systems

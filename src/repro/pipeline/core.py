@@ -45,7 +45,6 @@ from repro.pipeline.stats import SimStats
 from repro.predictors.base import GlobalPredictor
 from repro.telemetry import TELEMETRY, EpisodeEvent, PredictEvent, RetireEvent
 from repro.trace.records import BranchKind, BranchRecord
-from repro.trace.stream import TraceStream
 
 __all__ = ["PipelineModel"]
 
@@ -91,19 +90,15 @@ class PipelineModel:
         self._bind_hot_paths()
 
     def _bind_hot_paths(self) -> None:
-        """(Re)derive the per-branch bound methods and hoisted constants.
+        """Derive the per-branch bound methods and hoisted constants.
 
         Hot-path bindings: the baseline, unit, hierarchy and BTB never
         change after construction, so the per-branch calls go through
         pre-bound methods instead of two-level attribute lookups, and a
         unit's no-op base ``at_alloc`` is skipped entirely.  Bound at
-        init so subclass overrides still apply;
-        checkpoint/spec_push skip the GlobalPredictor delegation layer
-        only when the predictor has not overridden them.  The
-        specialized-engine driver (:mod:`repro.pipeline.specialize`)
-        calls this again after restoring a checkpoint, because a restore
-        replaces ``baseline``/``btb`` with deep copies the old bound
-        methods no longer point at.
+        init so subclass overrides still apply; checkpoint/spec_push
+        skip the GlobalPredictor delegation layer only when the
+        predictor has not overridden them.
         """
         baseline = self.baseline
         self._base_lookup = baseline.lookup
@@ -170,34 +165,15 @@ class PipelineModel:
         first few mispredictions of a segment replay a shorter wrong
         path — a boundary effect sampling accepts by design.
         """
-        stream = TraceStream(records, window=self.config.wrong_path_window)
-        self.run_stream(stream)
-
-    def run_stream(self, stream: TraceStream, limit: int | None = None) -> int:
-        """Consume up to ``limit`` records from an externally-owned stream.
-
-        Identical per-record behaviour to :meth:`run_segment`, but the
-        stream (and with it the wrong-path replay window) survives the
-        call — which is what lets the specialized-engine driver
-        (:mod:`repro.pipeline.specialize`) interleave generic prefix
-        simulation, specialized spans, and post-abort generic replay over
-        one uninterrupted window.  Records are read from
-        :attr:`TraceStream.records` directly (appending each to the replay
-        window); the stream seeks past them at the end.  Returns the
-        number of records consumed.
-        """
-        records = stream.records
-        start = stream.position
-        stop = len(records) if limit is None else min(len(records), start + limit)
-        window_append = stream.window.append
+        window: deque[BranchRecord] = deque(maxlen=self.config.wrong_path_window)
+        window_append = window.append
         rob = self._rob
         retire_up_to = self._retire_up_to
         issue = self._issue
         mispredict_episode = self._mispredict_episode
         base_train = self._base_train
         unit_resolve = self._unit_resolve
-        for pos in range(start, stop):
-            record = records[pos]
+        for record in records:
             window_append(record)
             if rob and rob[0][0] <= self._fe_cycle:
                 retire_up_to(self._fe_cycle)
@@ -205,14 +181,12 @@ class PipelineModel:
             if branch is None:
                 continue
             if branch.predicted_taken != record.taken:
-                mispredict_episode(branch, stream)
+                mispredict_episode(branch, window)
             else:
                 # Correctly predicted branch: train everything, no flush.
                 base_train(branch.tage_pred, record.taken)
                 if unit_resolve is not None:
                     unit_resolve(branch, (), branch.resolve_cycle)
-        stream.seek(stop)
-        return stop - start
 
     def current_cycle(self) -> int:
         """Front-end/retirement high-water mark, for per-segment deltas.
@@ -377,8 +351,14 @@ class PipelineModel:
     # ------------------------------------------------------------- #
     # resolution
 
-    def _mispredict_episode(self, branch: InflightBranch, stream: TraceStream) -> None:
-        """Wrong-path fetch, nested wrong-path repairs, flush, resteer."""
+    def _mispredict_episode(
+        self, branch: InflightBranch, window: deque[BranchRecord]
+    ) -> None:
+        """Wrong-path fetch, nested wrong-path repairs, flush, resteer.
+
+        ``window`` holds the most recent committed records, this branch
+        last; the wrong path replays them (see the module docstring).
+        """
         cfg = self.config
         stats = self.stats
         unit_resolve = self._unit_resolve
@@ -390,7 +370,7 @@ class PipelineModel:
         wp_mispredicts_before = stats.wrong_path_mispredicts
 
         if cfg.wrong_path:
-            replay = stream.recent(cfg.wrong_path_window)
+            replay = list(window)
             n_replay = len(replay)
             max_branches = cfg.wrong_path_max_branches
             fetch_width = self._fetch_width

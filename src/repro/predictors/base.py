@@ -44,14 +44,6 @@ class GlobalPredictor(abc.ABC):
     #: Short identifier used in reports (e.g. ``"tage-8kb"``).
     name: str = "predictor"
 
-    #: True when ``lookup`` has no side effects on predictor or history
-    #: state, so calling it twice for the same pc (with no state change
-    #: in between) returns an identical prediction.  The specialized
-    #: engine (:mod:`repro.pipeline.specialize`) relies on this to re-run
-    #: the generic predict path on a mispredicted branch; predictors
-    #: that cannot promise it are never specialized.
-    pure_lookup: bool = False
-
     def __init__(self, history: GlobalHistory | None = None) -> None:
         self.history = history if history is not None else GlobalHistory()
 

@@ -191,11 +191,6 @@ class TagePredictor(GlobalPredictor):
     and ``alt_table`` are table numbers, -1 for the bimodal.
     """
 
-    #: ``lookup`` only reads table/history state (see the provider scan)
-    #: — the specialized engine depends on this to re-run it on a
-    #: mispredicted branch.
-    pure_lookup = True
-
     def __init__(self, config: TageConfig | None = None, seed: int = 0x5EED) -> None:
         self.config = config = config if config is not None else TageConfig.kb8()
         history = GlobalHistory(max_length=config.max_history, path_bits=config.path_bits)

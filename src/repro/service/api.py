@@ -62,22 +62,10 @@ _KINDS = ("run", "compare", "sweep")
 _DEFAULT_BRANCHES = {"run": 20_000, "compare": 15_000, "sweep": 15_000}
 
 _ALLOWED_FIELDS: dict[str, frozenset[str]] = {
-    "run": frozenset(
-        {"kind", "workload", "system", "branches", "sampling", "specialize"}
-    ),
-    "compare": frozenset(
-        {"kind", "workload", "systems", "branches", "sampling", "specialize"}
-    ),
+    "run": frozenset({"kind", "workload", "system", "branches", "sampling"}),
+    "compare": frozenset({"kind", "workload", "systems", "branches", "sampling"}),
     "sweep": frozenset(
-        {
-            "kind",
-            "branches",
-            "per_category",
-            "systems",
-            "shard",
-            "sampling",
-            "specialize",
-        }
+        {"kind", "branches", "per_category", "systems", "shard", "sampling"}
     ),
 }
 
@@ -160,22 +148,6 @@ def _sampling(payload: Mapping[str, Any]) -> SamplingConfig | None:
     )
 
 
-def _specialize(payload: Mapping[str, Any]) -> bool:
-    """The ``specialize`` request field composed with ``REPRO_SPECIALIZE``.
-
-    A JSON boolean is an explicit choice; a missing field defers to the
-    server's environment — the same tri-state contract as the CLI flag.
-    """
-    from repro.harness.specialize import specialize_enabled
-
-    value = payload.get("specialize")
-    if value is not None and not isinstance(value, bool):
-        raise ServiceError(
-            f"request field 'specialize' must be a boolean, got {value!r}"
-        )
-    return specialize_enabled(value)
-
-
 def _shard(payload: Mapping[str, Any]) -> tuple[int, int] | None:
     value = payload.get("shard")
     if value is None:
@@ -222,37 +194,20 @@ def parse_request(payload: Any) -> ServiceRequest:
         )
     branches = _branches(payload, kind)
     sampling = _sampling(payload)
-    specialize = _specialize(payload)
     echo: dict[str, Any] = {"kind": kind, "branches": branches}
     if sampling is not None:
         echo["sampling"] = sampling.to_payload()
-    if specialize:
-        echo["specialize"] = True
 
     if kind == "run":
         spec = resolve_workload(_require_str(payload, "workload"))
         system = _system_by_name(payload.get("system", "forward-walk-coalesce"))
-        jobs = [
-            SimJob(
-                spec=spec,
-                system=system,
-                n_branches=branches,
-                sampling=sampling,
-                specialize=specialize,
-            )
-        ]
+        jobs = [SimJob(spec=spec, system=system, n_branches=branches, sampling=sampling)]
         echo.update(workload=spec.name, system=system.name)
     elif kind == "compare":
         spec = resolve_workload(_require_str(payload, "workload"))
         systems = _systems(payload)
         jobs = [
-            SimJob(
-                spec=spec,
-                system=system,
-                n_branches=branches,
-                sampling=sampling,
-                specialize=specialize,
-            )
+            SimJob(spec=spec, system=system, n_branches=branches, sampling=sampling)
             for system in systems
         ]
         echo.update(workload=spec.name, systems=[s.name for s in systems])
@@ -269,12 +224,7 @@ def parse_request(payload: Any) -> ServiceRequest:
         from repro.harness.scheduler import Scheduler
 
         jobs = Scheduler().plan(
-            workloads,
-            systems,
-            branches,
-            sampling=sampling,
-            shard=shard,
-            specialize=specialize,
+            workloads, systems, branches, sampling=sampling, shard=shard
         )
         echo.update(
             per_category=per_category,

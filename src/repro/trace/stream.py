@@ -1,10 +1,10 @@
 """Trace streams and replay windows.
 
 A :class:`TraceStream` is a restartable view over a sequence of
-:class:`~repro.trace.records.BranchRecord`.  The pipeline consumes the
-stream in order; the stream additionally maintains a bounded *replay
-window* of recently delivered records which the front end uses to
-synthesise wrong-path fetch (see ``repro.pipeline.wrongpath``).
+:class:`~repro.trace.records.BranchRecord`, read in order.  The stream
+additionally maintains a bounded *replay window* of recently delivered
+records — the same window the pipeline model keeps to synthesise
+wrong-path fetch (see :mod:`repro.pipeline.core`).
 """
 
 from __future__ import annotations
@@ -49,22 +49,6 @@ class TraceStream:
         return self._pos
 
     @property
-    def records(self) -> tuple[BranchRecord, ...]:
-        """The full committed stream (read-only view for fast readers)."""
-        return self._records
-
-    @property
-    def window(self) -> deque[BranchRecord]:
-        """The live replay window.
-
-        Exposed so externally-driven readers (the specialized engines of
-        :mod:`repro.pipeline.specialize`) can keep the window current
-        while consuming :attr:`records` by index; combine with
-        :meth:`seek` to hand the stream back in a consistent state.
-        """
-        return self._window
-
-    @property
     def exhausted(self) -> bool:
         """True once every record has been delivered."""
         return self._pos >= len(self._records)
@@ -96,30 +80,6 @@ class TraceStream:
             return []
         window = list(self._window)
         return window[-count:]
-
-    def seek(self, position: int) -> None:
-        """Set the read position to ``position`` (records delivered externally).
-
-        Used by readers that consume :attr:`records` directly (appending
-        to :attr:`window` themselves) to resynchronise the stream before
-        handing it to code that calls :meth:`next_record`.
-        """
-        if not 0 <= position <= len(self._records):
-            raise TraceError(
-                f"seek position {position} outside trace of {len(self._records)}"
-            )
-        self._pos = position
-
-    def checkpoint(self) -> tuple[int, list[BranchRecord]]:
-        """Snapshot of (position, replay window) for later :meth:`restore`."""
-        return self._pos, list(self._window)
-
-    def restore(self, state: tuple[int, list[BranchRecord]]) -> None:
-        """Rewind to a :meth:`checkpoint`; the window contents come back too."""
-        position, window = state
-        self.seek(position)
-        self._window.clear()
-        self._window.extend(window)
 
     def restart(self) -> None:
         """Rewind to the beginning and clear the replay window."""

@@ -117,6 +117,31 @@ class TestRunner:
         assert len(results) == 2
         assert {r.system for r in results} == {"baseline-tage", "p"}
 
+    def test_run_matrix_ignores_specialize(self, tiny_spec, scale):
+        # One exact engine: the keyword is accepted and changes nothing,
+        # neither the stats nor the manifest (and so not the cache key).
+        systems = [
+            SystemConfig(name="baseline-tage", local_entries=None, scheme=None),
+            SystemConfig(name="p", scheme="perfect"),
+        ]
+
+        def observed(specialize):
+            results = run_matrix(
+                [tiny_spec], systems, scale, workers=1,
+                use_result_cache=False, specialize=specialize,
+            )
+            return [
+                (r.ipc, r.mpki, r.instructions, r.cycles, r.mispredictions, r.extra,
+                 {k: v for k, v in r.manifest.items() if k != "wall_s"})
+                for r in results
+            ]
+
+        requested = observed(True)
+        assert requested == observed(False)
+        for *_, manifest in requested:
+            assert "engine" not in manifest
+            assert "specialize" not in manifest
+
     def test_pair_results(self, tiny_spec, scale):
         systems = [
             SystemConfig(name="baseline-tage", local_entries=None, scheme=None),

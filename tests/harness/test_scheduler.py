@@ -8,11 +8,7 @@ import pickle
 import pytest
 
 from repro.errors import ConfigError
-from repro.harness.executors import (
-    InlineExecutor,
-    ProcessPoolExecutorBackend,
-    ShardedExecutor,
-)
+from repro.harness.executors import InlineExecutor, ProcessPoolExecutorBackend
 from repro.harness.runner import run_single, validate_shard
 from repro.harness.scheduler import (
     Scheduler,
@@ -127,27 +123,6 @@ class TestExecution:
     def test_execute_job_runs_one(self, tiny_spec):
         result = execute_job(SimJob(spec=tiny_spec, system=_BASE, n_branches=800))
         assert result.workload == "tiny" and result.cycles > 0
-
-    def test_sharded_covers_the_whole_matrix(self, tiny_spec):
-        specs = [
-            dataclasses.replace(tiny_spec, name=f"tiny-{i}", seed=20 + i)
-            for i in range(3)
-        ]
-        jobs = Scheduler().plan(specs, [_BASE], 600)
-        inline = Scheduler().run(jobs)
-        sharded = Scheduler().run(jobs, ShardedExecutor(shards=2))
-        assert [(r.workload, r.system, r.ipc, r.cycles) for r in sharded] == [
-            (r.workload, r.system, r.ipc, r.cycles) for r in inline
-        ]
-
-    def test_sharded_more_shards_than_jobs(self, tiny_spec):
-        jobs = Scheduler().plan([tiny_spec], [_BASE], 600)
-        results = Scheduler().run(jobs, ShardedExecutor(shards=5))
-        assert len(results) == 1
-
-    def test_sharded_rejects_bad_count(self):
-        with pytest.raises(ConfigError):
-            ShardedExecutor(shards=0)
 
 
 class TestCacheSplit:

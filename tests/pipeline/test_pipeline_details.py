@@ -96,3 +96,45 @@ class TestInstructionStreamEdges:
         stats = PipelineModel(BimodalPredictor()).run(records)
         assert stats.cond_branches == 0
         assert stats.mispredictions == 0
+
+    def test_mixed_synthetic_traces_deterministic(self):
+        # Seeded (system, trace) pairings over every branch kind, loads
+        # and varied gaps, including spec-string systems outside
+        # Table 3: two fresh models must agree bit for bit.
+        import random
+
+        from repro.harness.systems import TABLE3_SYSTEMS, build_system, resolve_system
+        from repro.memory.hierarchy import CacheHierarchy
+        from repro.trace.records import BranchKind, BranchRecord
+
+        rng = random.Random(0xC0FFEE)
+        pcs = [0x1000 + 8 * i for i in range(24)]
+        kinds = [BranchKind.COND] * 8 + [
+            BranchKind.UNCOND, BranchKind.CALL, BranchKind.RET, BranchKind.INDIRECT
+        ]
+        names = [cfg.name for cfg in TABLE3_SYSTEMS] + ["gshare:12:10", "local2l:10:8:12"]
+        for _ in range(3):
+            records = []
+            for i in range(1500):
+                pc = rng.choice(pcs)
+                kind = rng.choice(kinds)
+                has_load = rng.random() < 0.3
+                records.append(
+                    BranchRecord(
+                        pc=pc,
+                        target=pc + rng.choice([16, 64, -32 & 0xFFFF]),
+                        taken=bool(kind is not BranchKind.COND or (pc // 8 + i) % 3),
+                        kind=kind,
+                        inst_gap=rng.randrange(0, 9),
+                        load_addr=rng.randrange(0x2000, 0x8000, 8) if has_load else 0,
+                        depends_on_load=bool(has_load and rng.random() < 0.5),
+                    )
+                )
+            system = resolve_system(rng.choice(names))
+            runs = []
+            for _ in range(2):
+                baseline, unit = build_system(system)
+                model = PipelineModel(baseline, unit=unit, hierarchy=CacheHierarchy())
+                runs.append(model.run(records))
+            assert runs[0] == runs[1], system.name
+            assert runs[0].mispredictions > 0

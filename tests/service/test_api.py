@@ -105,6 +105,7 @@ class TestRejections:
             {"kind": "run", "workload": "hpc-fft", "sampling": {"interval": "x"}},
             {"kind": "run", "workload": "hpc-fft", "sampling": {"nope": 1}},
             {"kind": "run", "workload": "hpc-fft", "sampling": "on"},
+            {"kind": "run", "workload": "hpc-fft", "specialize": True},
         ],
     )
     def test_bad_payloads(self, payload):
