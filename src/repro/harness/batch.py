@@ -105,7 +105,8 @@ def mark_batch_jobs(jobs: "Sequence[SimJob]") -> "list[SimJob]":
         if len(indices) < BATCH_MIN_CONFIGS:
             continue
         for index in indices:
-            marked[index] = replace(marked[index], batch=True)
+            # The engine is part of the manifest: drop any planned one.
+            marked[index] = replace(marked[index], batch=True, planned_manifest=None)
     return marked
 
 
@@ -114,8 +115,8 @@ class BatchExecutor(Executor):
 
     Marked jobs are grouped by workload trace; each group pays one
     trace materialisation and one kernel pass for *all* its configs,
-    with per-job result-cache load/store exactly like the scalar path
-    (cached jobs are answered without touching the trace at all).
+    and each result is stored in the result cache like a scalar run's
+    (cached jobs never get here: the scheduler answers them first).
     Unmarked jobs go to ``inner`` — so one sweep can batch its
     table-predictor sizings while its TAGE rows fan out over the
     process pool, composing with shared-memory traces and sharding.
@@ -183,35 +184,24 @@ class BatchExecutor(Executor):
         return ColumnarTrace.from_records(load_trace(job.spec, job.n_branches))
 
     def _run_group(self, jobs: "list[SimJob]") -> "list[RunResult]":
-        """Kernel-evaluate one workload's batch jobs, cache-aware."""
-        manifests = [job.manifest() for job in jobs]
+        """Kernel-evaluate one workload's batch jobs, storing each result."""
         cache = active_cache(jobs[0].use_result_cache)
-        results: "dict[int, RunResult]" = {}
-        misses: "list[int]" = []
-        for index, manifest in enumerate(manifests):
-            cached = cache.load(manifest) if cache is not None else None
-            if cached is not None:
-                results[index] = cached
-            else:
-                misses.append(index)
-        if misses:
-            trace = self._materialise_trace(jobs[misses[0]])
-            specs = [table_predictor_spec(jobs[i].system) for i in misses]
-            assert all(spec is not None for spec in specs)
-            t0 = perf_counter()
-            batch = run_batch(
-                trace, [spec for spec in specs if spec is not None], self.interval
-            )
-            wall = perf_counter() - t0
-            registry = TELEMETRY.registry
-            registry.counter("sched.batch_groups").inc()
-            registry.counter("sched.batch_configs").inc(len(misses))
-            for lane, index in enumerate(misses):
-                result = self._lane_result(jobs[index], manifests[index], batch, lane, wall)
-                results[index] = result
-                if cache is not None:
-                    cache.store(result)
-        return [results[index] for index in range(len(jobs))]
+        trace = self._materialise_trace(jobs[0])
+        specs = [table_predictor_spec(job.system) for job in jobs]
+        assert all(spec is not None for spec in specs)
+        t0 = perf_counter()
+        batch = run_batch(trace, [spec for spec in specs if spec is not None], self.interval)
+        wall = perf_counter() - t0
+        registry = TELEMETRY.registry
+        registry.counter("sched.batch_groups").inc()
+        registry.counter("sched.batch_configs").inc(len(jobs))
+        results = []
+        for lane, job in enumerate(jobs):
+            result = self._lane_result(job, job.manifest(), batch, lane, wall)
+            if cache is not None:
+                cache.store(result)
+            results.append(result)
+        return results
 
     def _lane_result(
         self,

@@ -4,17 +4,19 @@ The :class:`~repro.harness.scheduler.Scheduler` plans *what* to
 simulate (a list of :class:`~repro.harness.scheduler.SimJob`); an
 executor decides *where*.  Two strategies ship:
 
-* :class:`InlineExecutor` — sequential, in this process.  Identical to
-  a hand-written ``run_single`` loop: same trace memoization, same
-  result-cache behaviour, bit-identical outputs.  The CLI's small runs
-  and the service's default worker path use this.
+* :class:`InlineExecutor` — sequential, in this process.  Same trace
+  memoization and bit-identical outputs as a hand-written
+  ``run_single`` loop.  The CLI's small runs and the service's default
+  worker path use this.
 * :class:`ProcessPoolExecutorBackend` — fan-out across local worker
   processes.  Jobs carry optional shared-memory trace refs published by
   the scheduler so workers do zero trace decodes (see
   :mod:`repro.trace.columns`).
 
-Executors are deliberately dumb: no cache checks, no trace
-pre-generation, no telemetry policy — the scheduler owns all of that.
+Executors are deliberately dumb: no cache lookups (fresh results are
+stored, but :meth:`~repro.harness.scheduler.Scheduler.run` answers
+cached jobs before dispatch), no trace pre-generation, no telemetry
+policy — the scheduler owns all of that.
 """
 
 from __future__ import annotations

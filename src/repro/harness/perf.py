@@ -38,6 +38,7 @@ from typing import Any, Iterator, Sequence
 
 import repro
 from repro.errors import ExperimentError
+from repro.harness.atomic import atomic_write_text
 from repro.harness.result_cache import code_fingerprint
 from repro.harness.runner import load_trace, run_matrix, run_single
 from repro.harness.sampling import SamplingConfig
@@ -407,8 +408,5 @@ def run_perf(
         },
     }
     if out is not None:
-        target = Path(out)
-        tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-        tmp.replace(target)
+        atomic_write_text(Path(out), json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return payload

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import repro
 from repro.errors import ExperimentError
+from repro.harness.atomic import atomic_write_text
 from repro.harness.runner import RunResult
 from repro.harness.scale import Scale
 
@@ -53,9 +54,7 @@ def save_results(
     }
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_suffix(target.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=1, sort_keys=True))
-    tmp.replace(target)
+    atomic_write_text(target, json.dumps(payload, indent=1, sort_keys=True))
 
 
 def load_results(path: str | Path) -> list[RunResult]:

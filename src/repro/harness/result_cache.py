@@ -23,15 +23,13 @@ and event traces must come from an actual execution, not a disk read.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
-import threading
-import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 import repro
+from repro.harness.atomic import atomic_write_text
 from repro.telemetry import TELEMETRY
 from repro.telemetry.manifest import stable_hash
 
@@ -47,18 +45,6 @@ _ON_VALUES = frozenset({"1", "on", "true"})
 _FORMAT_VERSION = 1
 
 _FINGERPRINT: str | None = None
-
-#: Per-process sequence for temp-file names.  Concurrent *processes*
-#: are already distinguished by PID, and concurrent *threads* (the
-#: ``repro serve`` worker pool) by thread id — the counter closes the
-#: remaining hole where one thread writes the same entry twice before
-#: the first rename lands.
-_TMP_SEQ = itertools.count()
-
-#: Atomic-replace retry schedule (seconds).  POSIX renames don't fail
-#: transiently, but network filesystems and Windows can; retrying a
-#: few times beats surfacing a spurious error for a cache write.
-_REPLACE_RETRIES = (0.01, 0.05, 0.2)
 
 
 def code_fingerprint() -> str:
@@ -97,10 +83,6 @@ class ResultCache:
         )
         return self.root / f"{key}.json"
 
-    def has(self, manifest: dict[str, Any]) -> bool:
-        """Whether a (possibly stale-formatted) entry exists on disk."""
-        return self.entry_path(manifest).exists()
-
     def load(self, manifest: dict[str, Any]) -> "RunResult | None":
         """Cached result for ``manifest``'s run, or None on a miss.
 
@@ -137,14 +119,11 @@ class ResultCache:
     def store(self, result: "RunResult") -> None:
         """Persist a freshly simulated result (atomic, race-safe).
 
-        Writers never touch the final path directly: each writes a
-        uniquely named temp file (PID + thread id + per-process
-        sequence number, so concurrent CLI processes *and* the
-        server's worker threads never collide) and atomically renames
-        it into place with a short retry schedule.  Readers therefore
-        only ever see absent or complete entries — partial writes
-        cannot be interleaved — and concurrent writers of the same key
-        are last-writer-wins over identical content.
+        Written through :func:`~repro.harness.atomic.atomic_write_text`:
+        concurrent CLI processes and the server's worker threads never
+        share a temp file, readers only ever see absent or complete
+        entries, and concurrent writers of the same key are
+        last-writer-wins over identical content.
         """
         manifest = result.manifest
         if manifest is None:
@@ -167,20 +146,7 @@ class ResultCache:
             },
         }
         self.root.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(
-            f"{path.name}.{os.getpid()}.{threading.get_ident()}.{next(_TMP_SEQ)}.tmp"
-        )
-        try:
-            tmp.write_text(json.dumps(payload, sort_keys=True))
-            for delay in _REPLACE_RETRIES:
-                try:
-                    tmp.replace(path)
-                    return
-                except OSError:
-                    time.sleep(delay)
-            tmp.replace(path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        atomic_write_text(path, json.dumps(payload, sort_keys=True))
 
 
 def cache_dir_from_env() -> Path | None:

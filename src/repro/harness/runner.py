@@ -16,7 +16,8 @@ from time import perf_counter
 from typing import Any, Sequence
 
 from repro.errors import ConfigError, TraceError
-from repro.harness.result_cache import active_cache
+from repro.harness.atomic import atomic_write, tmp_writer_pid
+from repro.harness.result_cache import ResultCache, active_cache
 from repro.harness.sampling import SamplingConfig, run_sampled
 from repro.harness.scale import Scale
 from repro.harness.systems import SystemConfig, build_system
@@ -99,19 +100,17 @@ def _pid_alive(pid: int) -> bool:
 
 
 def _sweep_stale_tmp(cache: Path) -> None:
-    """Remove ``*.<pid>.tmp`` files whose writer process is gone.
+    """Remove temp files whose writer process is gone.
 
-    Crashed or killed sweeps leave their PID-unique temp files behind;
-    because the PID is embedded in the name, any tmp file whose writer
-    no longer exists is garbage by construction and safe to delete.
-    Files of live writers (including our own) are left alone.
+    Crashed or killed sweeps leave their writer-unique temp files
+    behind; because the PID is embedded in the name (see
+    :func:`~repro.harness.atomic.tmp_writer_pid`), any tmp file whose
+    writer no longer exists is garbage by construction and safe to
+    delete.  Files of live writers (including our own) are left alone.
     """
     for tmp in cache.glob("*.tmp"):
-        parts = tmp.name.split(".")
-        if len(parts) < 3 or not parts[-2].isdigit():
-            continue
-        pid = int(parts[-2])
-        if pid == os.getpid() or _pid_alive(pid):
+        pid = tmp_writer_pid(tmp.name)
+        if pid is None or pid == os.getpid() or _pid_alive(pid):
             continue
         try:
             tmp.unlink()
@@ -228,13 +227,11 @@ def load_trace(spec: WorkloadSpec, n_branches: int) -> list[BranchRecord]:
     if not path.exists():
         cache.mkdir(parents=True, exist_ok=True)
         _sweep_stale_tmp(cache)
-        # PID-unique tmp name: two uncoordinated processes generating
-        # the same workload must not interleave writes into one tmp
-        # file; the final rename stays atomic and the contents are
-        # identical either way.
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        write_trace(tmp, records)
-        tmp.replace(path)
+        # Writer-unique tmp name: two processes or server threads
+        # generating the same workload must not share one tmp file;
+        # the final rename stays atomic and the contents are identical
+        # either way.
+        atomic_write(path, lambda tmp: write_trace(tmp, records))
     return records
 
 
@@ -260,7 +257,6 @@ def run_single(
     runs made before sampling existed.
     """
     pipeline_cfg = pipeline if pipeline is not None else PipelineConfig()
-    tel = TELEMETRY
     manifest = build_manifest(
         spec, system, n_branches, pipeline_cfg, sampling=sampling
     ).as_dict()
@@ -269,6 +265,26 @@ def run_single(
         cached = result_cache.load(manifest)
         if cached is not None:
             return cached
+    return _simulate(spec, system, n_branches, pipeline_cfg, sampling, manifest, result_cache)
+
+
+def _simulate(
+    spec: WorkloadSpec,
+    system: SystemConfig,
+    n_branches: int,
+    pipeline: PipelineConfig | None,
+    sampling: SamplingConfig | None,
+    manifest: dict[str, Any],
+    result_cache: ResultCache | None,
+) -> RunResult:
+    """Simulate the run ``manifest`` describes and store it in ``result_cache``.
+
+    No cache lookup happens here: :func:`run_single` and the
+    scheduler answer hits before calling this.  ``manifest`` becomes
+    the result's, stamped with ``wall_s``.
+    """
+    pipeline_cfg = pipeline if pipeline is not None else PipelineConfig()
+    tel = TELEMETRY
     records = load_trace(spec, n_branches)
     baseline, unit = build_system(system)
     model = PipelineModel(

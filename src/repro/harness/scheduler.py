@@ -11,10 +11,15 @@ behaviour behind a concurrent API, so those concerns now live here:
   run (that manifest is the result-cache key and the service's dedup
   key);
 * :class:`Scheduler` — plans job lists (including ``--shard K/N``
-  slicing), splits off jobs answerable from the persistent result
-  cache, prepares shared-memory traces for pool executors, and
+  slicing), answers jobs the persistent result cache holds in this
+  process, prepares shared-memory traces for pool executors, and
   dispatches the rest to a pluggable
   :class:`~repro.harness.executors.Executor`.
+
+Each planned job carries its manifest, built once at plan time with
+one :class:`~repro.telemetry.manifest.ManifestBuilder` per plan; the
+cache split, the shared-trace preparation, the service's request key,
+the batch executor and the run itself all read that one manifest.
 
 ``run_matrix`` is now a thin wrapper over this module and is
 bit-identical to its pre-refactor behaviour; the service submits the
@@ -24,7 +29,7 @@ same :class:`SimJob` lists through the same :meth:`Scheduler.run`.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
 from repro.harness.executors import (
@@ -36,7 +41,7 @@ from repro.harness.result_cache import ResultCache, active_cache
 from repro.harness.sampling import SamplingConfig
 from repro.harness.systems import SystemConfig
 from repro.pipeline.config import PipelineConfig
-from repro.telemetry.manifest import build_manifest
+from repro.telemetry.manifest import ManifestBuilder, RunManifest
 from repro.trace.columns import ColumnarTrace, SharedTrace
 from repro.workloads.spec import WorkloadSpec
 
@@ -65,18 +70,34 @@ class SimJob:
     #: runs can never diverge — a batch job's cache entry is keyed with
     #: ``engine: "batch"`` and is invisible to exact-timing requests.
     batch: bool = False
+    #: The provenance manifest, built once by :meth:`Scheduler.plan`
+    #: and read by every consumer through :meth:`manifest`.  None on a
+    #: hand-built job, whose :meth:`manifest` builds one on demand.
+    planned_manifest: RunManifest | None = field(default=None, compare=False, repr=False)
 
     def manifest(self) -> dict[str, Any]:
-        """The provenance manifest this job's run would carry."""
-        pipeline_cfg = self.pipeline if self.pipeline is not None else PipelineConfig()
-        return build_manifest(
-            self.spec,
-            self.system,
-            self.n_branches,
-            pipeline_cfg,
-            sampling=self.sampling,
-            engine="batch" if self.batch else None,
-        ).as_dict()
+        """The provenance manifest this job's run would carry.
+
+        A fresh dict on every call, so no consumer can change what the
+        next one reads.
+        """
+        planned = self.planned_manifest
+        if planned is None:
+            planned = _build_job_manifest(self, ManifestBuilder(), PipelineConfig())
+        return planned.as_dict()
+
+
+def _build_job_manifest(
+    job: SimJob, builder: ManifestBuilder, default_pipeline: PipelineConfig
+) -> RunManifest:
+    return builder.build(
+        job.spec,
+        job.system,
+        job.n_branches,
+        job.pipeline if job.pipeline is not None else default_pipeline,
+        sampling=job.sampling,
+        engine="batch" if job.batch else None,
+    )
 
 
 def execute_job(job: SimJob) -> Any:
@@ -84,21 +105,23 @@ def execute_job(job: SimJob) -> Any:
 
     Module-level (not a method) so :class:`ProcessPoolExecutorBackend`
     can pickle it to workers.  Seeds the worker-local trace memo from
-    the job's shared-memory ref when present, then defers to
-    :func:`repro.harness.runner.run_single` — the single simulation
-    path every frontend shares.
+    the job's shared-memory ref when present, then takes the same
+    simulation path as :func:`repro.harness.runner.run_single`, keyed
+    by the job's planned manifest.  The result cache is written, not
+    read: :meth:`Scheduler.run` answers cached jobs before dispatch.
     """
-    from repro.harness.runner import _seed_memo_from_shm, run_single
+    from repro.harness.runner import _seed_memo_from_shm, _simulate
 
     if job.shm_ref is not None:
         _seed_memo_from_shm(job.spec, job.n_branches, job.shm_ref)
-    return run_single(
+    return _simulate(
         job.spec,
         job.system,
         job.n_branches,
         job.pipeline,
-        job.use_result_cache,
         job.sampling,
+        job.manifest(),
+        active_cache(job.use_result_cache),
     )
 
 
@@ -158,6 +181,12 @@ class Scheduler:
         workload (see :func:`mark_batch_jobs`); marking happens *after*
         shard slicing so each shard makes its own grouping decision
         from the jobs it will actually run.
+
+        Every returned job carries its manifest.  One
+        :class:`~repro.telemetry.manifest.ManifestBuilder` serves the
+        whole plan, so each configuration and each workload is hashed
+        once and the ``REPRO_*`` environment is read once; nothing is
+        memoised beyond this call.
         """
         from repro.harness.runner import shard_bounds
 
@@ -180,14 +209,18 @@ class Scheduler:
             from repro.harness.batch import mark_batch_jobs
 
             jobs = mark_batch_jobs(jobs)
-        return jobs
+        builder = ManifestBuilder()
+        default_pipeline = PipelineConfig()
+        return [
+            replace(
+                job,
+                planned_manifest=_build_job_manifest(job, builder, default_pipeline),
+            )
+            for job in jobs
+        ]
 
     # ------------------------------------------------------------- #
     # cache interaction
-
-    def cache(self) -> ResultCache | None:
-        """The persistent result cache in effect, or None."""
-        return active_cache(self.use_result_cache)
 
     def split_cached(
         self, jobs: Sequence[SimJob]
@@ -197,17 +230,21 @@ class Scheduler:
         Returns ``(hits, misses)`` where ``hits`` maps each job's index
         in ``jobs`` to its cached
         :class:`~repro.harness.runner.RunResult` and ``misses`` is the
-        remaining jobs in order.  With no active cache every job is a
-        miss.  This is how the service answers repeat queries without
-        re-simulation while still counting exactly what it skipped.
+        remaining jobs in order.  Each job is looked up under its own
+        cache policy (``SimJob.use_result_cache``, the one it runs
+        under); with no active cache a job is a miss.  This is how the
+        service answers repeat queries without re-simulation while
+        still counting exactly what it skipped.
         """
-        cache = self.cache()
+        caches: dict[bool | None, ResultCache | None] = {}
         hits: dict[int, Any] = {}
         misses: list[SimJob] = []
-        if cache is None:
-            return hits, list(jobs)
         for index, job in enumerate(jobs):
-            cached = cache.load(job.manifest())
+            policy = job.use_result_cache
+            if policy not in caches:
+                caches[policy] = active_cache(policy)
+            cache = caches[policy]
+            cached = cache.load(job.manifest()) if cache is not None else None
             if cached is not None:
                 hits[index] = cached
             else:
@@ -223,14 +260,32 @@ class Scheduler:
         executor: Executor | None = None,
         shm: bool = True,
     ) -> list[Any]:
+        """Results of ``jobs`` in order: cached ones read, the rest run.
+
+        Jobs the persistent result cache holds are answered here, in
+        this process, so an executor only ever receives work that needs
+        simulating: a fully cached pooled sweep starts no worker and
+        publishes no shared-memory trace.
+        """
+        hits, misses = self.split_cached(jobs)
+        fresh = iter(self.dispatch(misses, executor, shm) if misses else ())
+        return [hits[i] if i in hits else next(fresh) for i in range(len(jobs))]
+
+    def dispatch(
+        self,
+        jobs: Sequence[SimJob],
+        executor: Executor | None = None,
+        shm: bool = True,
+    ) -> list[Any]:
         """Execute ``jobs`` on ``executor`` (default inline), in order.
 
+        No cache split happens here; callers that already split (the
+        service counts its cache hits) dispatch the misses directly.
         For executors that want shared traces (the local process pool),
         each workload's trace is generated once in this process and
         published to a shared-memory segment that workers attach
-        instead of decoding; workloads whose every job will be answered
-        by the persistent result cache skip generation entirely.
-        Segments are unlinked on the way out even when a worker dies.
+        instead of decoding.  Segments are unlinked on the way out even
+        when a worker dies.
         """
         if executor is None:
             executor = InlineExecutor()
@@ -257,7 +312,6 @@ class Scheduler:
         """
         from repro.harness.runner import _shm_enabled, load_trace
 
-        cache = self.cache()
         by_spec: OrderedDict[str, tuple[WorkloadSpec, list[SimJob]]] = OrderedDict()
         for job in jobs:
             by_spec.setdefault(job.spec.name, (job.spec, []))[1].append(job)
@@ -266,10 +320,6 @@ class Scheduler:
         use_shm = _shm_enabled()
         try:
             for spec, spec_jobs in by_spec.values():
-                if cache is not None and all(
-                    cache.has(job.manifest()) for job in spec_jobs
-                ):
-                    continue
                 records = load_trace(spec, spec_jobs[0].n_branches)
                 if use_shm:
                     shared = ColumnarTrace.from_records(records).publish()

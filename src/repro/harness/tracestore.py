@@ -28,6 +28,7 @@ from typing import Any
 from urllib.parse import urlparse
 
 from repro.errors import TraceError, WorkloadError
+from repro.harness.atomic import atomic_write_bytes, atomic_write_text
 from repro.trace.adapters import convert_bytes
 from repro.trace.io import dumps_trace
 from repro.trace.stats import collect_stats
@@ -165,9 +166,7 @@ def _import_payload(
     store_path = store_dir(store)
     store_path.mkdir(parents=True, exist_ok=True)
     trace_path = _trace_path(store_path, trace_name)
-    tmp = trace_path.with_name(f"{trace_path.name}.{os.getpid()}.tmp")
-    tmp.write_bytes(normalised)
-    tmp.replace(trace_path)
+    atomic_write_bytes(trace_path, normalised)
     meta: dict[str, Any] = {
         "name": trace_name,
         "category": PUBLIC_CATEGORY,
@@ -179,9 +178,7 @@ def _import_payload(
     }
     meta.update(_describe(converted.records))
     meta_path = _meta_path(store_path, trace_name)
-    tmp_meta = meta_path.with_name(f"{meta_path.name}.{os.getpid()}.tmp")
-    tmp_meta.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    tmp_meta.replace(meta_path)
+    atomic_write_text(meta_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return _spec_from_meta(meta, trace_path)
 
 

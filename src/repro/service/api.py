@@ -38,10 +38,10 @@ from repro.harness.result_cache import code_fingerprint
 from repro.harness.runner import select_workloads, validate_shard
 from repro.harness.sampling import SamplingConfig
 from repro.harness.scale import Scale
-from repro.harness.scheduler import SimJob
+from repro.harness.scheduler import Scheduler, SimJob
 from repro.harness.systems import TABLE3_SYSTEMS, SystemConfig
-from repro.telemetry.manifest import stable_hash
 from repro.harness.tracestore import resolve_workload
+from repro.telemetry.manifest import stable_hash
 
 __all__ = [
     "ServiceRequest",
@@ -168,7 +168,10 @@ def _per_category(payload: Mapping[str, Any]) -> int:
 
 
 def request_key(jobs: Sequence[SimJob]) -> str:
-    """Manifest-hash identity of a job list (order-sensitive)."""
+    """Manifest-hash identity of a job list (order-sensitive).
+
+    Reads each job's planned manifest; nothing is re-hashed per job.
+    """
     return stable_hash(
         {
             "jobs": [
@@ -180,8 +183,15 @@ def request_key(jobs: Sequence[SimJob]) -> str:
     )
 
 
-def parse_request(payload: Any) -> ServiceRequest:
-    """Validate one JSON submission into a :class:`ServiceRequest`."""
+def parse_request(payload: Any, scheduler: Scheduler | None = None) -> ServiceRequest:
+    """Validate one JSON submission into a :class:`ServiceRequest`.
+
+    ``scheduler`` plans the jobs, so they carry its result-cache policy
+    (the server passes its own; the default defers to
+    ``REPRO_RESULT_CACHE``).  The policy is not part of the request key.
+    """
+    if scheduler is None:
+        scheduler = Scheduler()
     if not isinstance(payload, dict):
         raise ServiceError("request body must be a JSON object")
     kind = payload.get("kind")
@@ -201,15 +211,12 @@ def parse_request(payload: Any) -> ServiceRequest:
     if kind == "run":
         spec = resolve_workload(_require_str(payload, "workload"))
         system = _system_by_name(payload.get("system", "forward-walk-coalesce"))
-        jobs = [SimJob(spec=spec, system=system, n_branches=branches, sampling=sampling)]
+        jobs = scheduler.plan([spec], [system], branches, sampling=sampling)
         echo.update(workload=spec.name, system=system.name)
     elif kind == "compare":
         spec = resolve_workload(_require_str(payload, "workload"))
         systems = _systems(payload)
-        jobs = [
-            SimJob(spec=spec, system=system, n_branches=branches, sampling=sampling)
-            for system in systems
-        ]
+        jobs = scheduler.plan([spec], systems, branches, sampling=sampling)
         echo.update(workload=spec.name, systems=[s.name for s in systems])
     else:
         per_category = _per_category(payload)
@@ -221,9 +228,7 @@ def parse_request(payload: Any) -> ServiceRequest:
             workloads_per_category=per_category,
         )
         workloads = select_workloads(scale)
-        from repro.harness.scheduler import Scheduler
-
-        jobs = Scheduler().plan(
+        jobs = scheduler.plan(
             workloads, systems, branches, sampling=sampling, shard=shard
         )
         echo.update(

@@ -12,7 +12,7 @@ Architecture (all stdlib, no new dependencies)::
                                     │
                                     ▼
                  Scheduler.split_cached  ──▶ cache-answered results
-                 Scheduler.run(executor) ──▶ fresh simulations
+                 Scheduler.dispatch      ──▶ fresh simulations
 
 The HTTP layer is deliberately thin: every route resolves to a method
 on :class:`ReproService`, which owns the job store, the worker pool,
@@ -46,6 +46,7 @@ from queue import Empty, Queue
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ReproError, ServiceError
+from repro.harness.atomic import atomic_write_text
 from repro.harness.executors import (
     Executor,
     InlineExecutor,
@@ -218,9 +219,7 @@ class ReproService:
             path.unlink(missing_ok=True)
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps({"version": 1, "jobs": pending}, sort_keys=True))
-        tmp.replace(path)
+        atomic_write_text(path, json.dumps({"version": 1, "jobs": pending}, sort_keys=True))
         self.registry.counter("service.queue_persisted").inc(len(pending))
 
     def _restore_queue(self) -> None:
@@ -237,7 +236,7 @@ class ReproService:
             if not isinstance(entry, dict):
                 continue
             try:
-                request = parse_request(entry.get("payload"))
+                request = parse_request(entry.get("payload"), self.scheduler)
             except ReproError:
                 continue  # stale schema or removed workload: drop it
             client = str(entry.get("client", "restored"))
@@ -278,7 +277,7 @@ class ReproService:
                 {"Retry-After": decision.retry_after_header},
             )
         try:
-            request = parse_request(json.loads(body.decode("utf-8")))
+            request = parse_request(json.loads(body.decode("utf-8")), self.scheduler)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             return 400, {"error": f"request body is not valid JSON: {exc}"}, {}
         except ReproError as exc:
@@ -368,11 +367,11 @@ class ReproService:
                         error="cancelled while running",
                     )
                     return
-                by_index[index] = self.scheduler.run([sim_job], executor)[0]
+                by_index[index] = self.scheduler.dispatch([sim_job], executor)[0]
                 job.sim_runs += 1
                 self.registry.counter("service.sim_runs").inc()
         elif misses:
-            fresh = self.scheduler.run(misses, executor)
+            fresh = self.scheduler.dispatch(misses, executor)
             for index, result in zip(miss_indices, fresh):
                 by_index[index] = result
             job.sim_runs += len(misses)

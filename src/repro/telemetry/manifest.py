@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pipeline.config import PipelineConfig
     from repro.workloads.spec import WorkloadSpec
 
-__all__ = ["RunManifest", "build_manifest", "stable_hash"]
+__all__ = ["ManifestBuilder", "RunManifest", "build_manifest", "stable_hash"]
 
 #: Bump when the hashed payload layout changes.
 _MANIFEST_VERSION = 1
@@ -48,7 +48,7 @@ def stable_hash(payload: Any) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunManifest:
     """Provenance attached to every :class:`~repro.harness.runner.RunResult`."""
 
@@ -75,10 +75,18 @@ class RunManifest:
     wall_s: float | None = None
 
     def as_dict(self) -> dict[str, Any]:
-        payload = asdict(self)
-        if payload.get("sampling") is None:
+        """A fresh JSON-able dict; the mutable fields are copied.
+
+        ``env`` and ``sampling`` hold only scalar values, so one shallow
+        copy each gives the same independence as a deep copy.
+        """
+        payload = {name: getattr(self, name) for name in _FIELD_NAMES}
+        payload["env"] = dict(self.env)
+        if self.sampling is None:
             del payload["sampling"]
-        if payload.get("engine") is None:
+        else:
+            payload["sampling"] = dict(self.sampling)
+        if self.engine is None:
             del payload["engine"]
         return payload
 
@@ -88,12 +96,109 @@ class RunManifest:
         return cls(**{k: v for k, v in payload.items() if k in names})
 
 
+_FIELD_NAMES = tuple(f.name for f in fields(RunManifest))
+
+
 def _captured_env() -> dict[str, str]:
-    return {
-        key: value
-        for key, value in sorted(os.environ.items())
-        if key.startswith("REPRO_")
-    }
+    return dict(
+        sorted(item for item in os.environ.items() if item[0].startswith("REPRO_"))
+    )
+
+
+class ManifestBuilder:
+    """Builds many manifests, hashing each distinct input once.
+
+    A sweep plan repeats the same few configurations across hundreds of
+    workloads and the same workload across every system, so hashing
+    each ``(system, pipeline, sampling, engine)`` and each
+    ``(spec, n_branches)`` once per builder, and reading the
+    ``REPRO_*`` environment once, removes nearly all of the work of a
+    per-job :func:`build_manifest`.
+
+    The memo is keyed by object identity (and holds the objects, so an
+    id is never reused while the builder lives): equal-comparing values
+    can still serialise differently (``0`` vs ``0.0``), and identity
+    keeps every manifest exactly what :func:`build_manifest` returns.
+    A builder's scope is one plan — create a fresh one per sweep, so a
+    changed environment or a new process state is always seen.
+    """
+
+    def __init__(self) -> None:
+        self.env = _captured_env()
+        self.python = platform.python_version()
+        self.platform = f"{sys.platform}-{platform.machine()}"
+        self._configs: dict[tuple[Any, ...], tuple[Any, str, dict[str, Any] | None]] = {}
+        self._workloads: dict[tuple[int, int], tuple[Any, str]] = {}
+
+    def _config(
+        self,
+        system: "SystemConfig",
+        pipeline: "PipelineConfig",
+        sampling: "SamplingConfig | None",
+        engine: str | None,
+    ) -> tuple[str, dict[str, Any] | None]:
+        key = (id(system), id(pipeline), id(sampling), engine)
+        entry = self._configs.get(key)
+        if entry is None:
+            config_payload: dict[str, Any] = {
+                "system": asdict(system),
+                "pipeline": asdict(pipeline),
+            }
+            sampling_payload: dict[str, Any] | None = None
+            if sampling is not None and sampling.enabled:
+                sampling_payload = sampling.to_payload()
+                config_payload["sampling"] = sampling_payload
+            if engine is not None:
+                config_payload["engine"] = engine
+            pins = (system, pipeline, sampling)
+            entry = (pins, stable_hash(config_payload), sampling_payload)
+            self._configs[key] = entry
+        return entry[1], entry[2]
+
+    def _workload(self, spec: "WorkloadSpec", n_branches: int) -> str:
+        key = (id(spec), n_branches)
+        entry = self._workloads.get(key)
+        if entry is None:
+            # Specs may carry a content-addressed identity hook
+            # (imported traces hash their normalised payload, not their
+            # local path); synthetic specs keep the historical asdict()
+            # payload and hashes.
+            payload_fn = getattr(spec, "workload_hash_payload", None)
+            spec_payload: Any = payload_fn() if callable(payload_fn) else asdict(spec)
+            entry = (spec, stable_hash({"spec": spec_payload, "branches": n_branches}))
+            self._workloads[key] = entry
+        return entry[1]
+
+    def build(
+        self,
+        spec: "WorkloadSpec",
+        system: "SystemConfig",
+        n_branches: int,
+        pipeline: "PipelineConfig",
+        scale: str | None = None,
+        sampling: "SamplingConfig | None" = None,
+        engine: str | None = None,
+    ) -> RunManifest:
+        """The manifest :func:`build_manifest` returns for these inputs.
+
+        Its ``env`` and ``sampling`` dicts are shared with this builder;
+        :meth:`RunManifest.as_dict` gives a caller its own copies.
+        """
+        config_hash, sampling_payload = self._config(system, pipeline, sampling, engine)
+        return RunManifest(
+            config_hash=config_hash,
+            workload_hash=self._workload(spec, n_branches),
+            workload=spec.name,
+            system=system.name,
+            branches=n_branches,
+            repro_version=repro.__version__,
+            scale=scale,
+            python=self.python,
+            platform=self.platform,
+            env=self.env,
+            sampling=sampling_payload,
+            engine=engine,
+        )
 
 
 def build_manifest(
@@ -116,36 +221,6 @@ def build_manifest(
     is folded in the same way, for the same reason: a batch result must
     never be served from the cache for an exact-timing request.
     """
-    config_payload: dict[str, Any] = {
-        "system": asdict(system),
-        "pipeline": asdict(pipeline),
-    }
-    sampling_payload: dict[str, Any] | None = None
-    if sampling is not None and sampling.enabled:
-        sampling_payload = sampling.to_payload()
-        config_payload["sampling"] = sampling_payload
-    if engine is not None:
-        config_payload["engine"] = engine
-    # Specs may carry a content-addressed identity hook (imported
-    # traces hash their normalised payload, not their local path);
-    # synthetic specs keep the historical asdict() payload and hashes.
-    payload_fn = getattr(spec, "workload_hash_payload", None)
-    spec_payload: Any = payload_fn() if callable(payload_fn) else asdict(spec)
-    workload_payload = {
-        "spec": spec_payload,
-        "branches": n_branches,
-    }
-    return RunManifest(
-        config_hash=stable_hash(config_payload),
-        workload_hash=stable_hash(workload_payload),
-        workload=spec.name,
-        system=system.name,
-        branches=n_branches,
-        repro_version=repro.__version__,
-        scale=scale,
-        python=platform.python_version(),
-        platform=f"{sys.platform}-{platform.machine()}",
-        env=_captured_env(),
-        sampling=sampling_payload,
-        engine=engine,
+    return ManifestBuilder().build(
+        spec, system, n_branches, pipeline, scale=scale, sampling=sampling, engine=engine
     )

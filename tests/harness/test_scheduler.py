@@ -2,21 +2,35 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import json
 import pickle
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.harness.executors import InlineExecutor, ProcessPoolExecutorBackend
-from repro.harness.runner import run_single, validate_shard
+from repro.harness import executors
+from repro.harness.batch import BatchExecutor
+from repro.harness.executors import Executor, InlineExecutor, ProcessPoolExecutorBackend
+from repro.harness.perf import BATCH_SWEEP_SPECS
+from repro.harness.runner import run_matrix, run_single, validate_shard
+from repro.harness.sampling import SamplingConfig
+from repro.harness.scale import Scale
 from repro.harness.scheduler import (
     Scheduler,
     SimJob,
     default_executor,
     execute_job,
 )
-from repro.harness.systems import SystemConfig
+from repro.harness.systems import TABLE3_SYSTEMS, SystemConfig, resolve_system
+from repro.harness.tracestore import import_trace
+from repro.pipeline.config import PipelineConfig
+from repro.service.api import request_key
+from repro.telemetry import manifest as manifest_module
+from repro.telemetry.manifest import build_manifest
+from repro.trace.columns import ColumnarTrace
 
 _BASE = SystemConfig(name="baseline-tage", local_entries=None, scheme=None)
 _LOCAL = SystemConfig(
@@ -148,3 +162,105 @@ class TestCacheSplit:
         hits, misses = scheduler.split_cached(jobs)
         assert sorted(hits) == [0]
         assert misses == [jobs[1]]
+
+
+class _Recording(Executor):
+    """Inline executor that remembers which jobs it was handed."""
+
+    def __init__(self) -> None:
+        self.seen: list[SimJob] = []
+
+    def execute(self, jobs):
+        self.seen.extend(jobs)
+        return InlineExecutor().execute(jobs)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a fully cached sweep must not reach the executor")
+
+
+class TestPlannedManifests:
+    def test_every_planned_manifest_equals_build_manifest(
+        self, tiny_spec, tmp_path, monkeypatch
+    ):
+        fixture = Path(__file__).resolve().parent.parent / "data" / "traces" / "dijkstra.bt9"
+        monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path / "store"))
+        imported = import_trace(fixture, name="public-dijkstra")
+        systems = list(TABLE3_SYSTEMS) + [resolve_system(s) for s in BATCH_SWEEP_SPECS]
+        pipeline = PipelineConfig()
+        for sampling in (None, SamplingConfig(mode="periodic", interval=300, warmup=300)):
+            for batch in (False, True):
+                jobs = Scheduler().plan(
+                    [tiny_spec, imported], systems, 900, sampling=sampling, batch=batch
+                )
+                assert any(job.batch for job in jobs) == (batch and sampling is None)
+                for job in jobs:
+                    expected = build_manifest(
+                        job.spec,
+                        job.system,
+                        job.n_branches,
+                        pipeline,
+                        sampling=job.sampling,
+                        engine="batch" if job.batch else None,
+                    ).as_dict()
+                    # Byte-identical, key order included: it is the cache key.
+                    assert json.dumps(job.manifest()) == json.dumps(expected)
+
+    def test_plan_hashes_each_config_and_workload_once(self, tiny_spec, monkeypatch):
+        calls = {"config": 0, "workload": 0}
+        real = manifest_module.stable_hash
+
+        def counting(payload):
+            calls["config" if "system" in payload else "workload"] += 1
+            return real(payload)
+
+        monkeypatch.setattr(manifest_module, "stable_hash", counting)
+        specs = [dataclasses.replace(tiny_spec, name=f"tiny-{i}", seed=i) for i in range(5)]
+        jobs = Scheduler().plan(specs, TABLE3_SYSTEMS[:3], 700)
+        request_key(jobs)
+        Scheduler().split_cached(jobs)
+        assert len(jobs) == 15
+        assert calls == {"config": 3, "workload": 5}
+
+    def test_env_change_between_sweeps_is_seen(self, tiny_spec, monkeypatch):
+        scale = Scale(name="t", branches_per_workload=600, workloads_per_category=None)
+        monkeypatch.setenv("REPRO_SWEEP_TAG", "first")
+        first = run_matrix([tiny_spec], [_BASE], scale, workers=1)
+        monkeypatch.setenv("REPRO_SWEEP_TAG", "second")
+        second = run_matrix([tiny_spec], [_BASE], scale, workers=1)
+        assert first[0].manifest["env"]["REPRO_SWEEP_TAG"] == "first"
+        assert second[0].manifest["env"]["REPRO_SWEEP_TAG"] == "second"
+
+    def test_running_leaves_planned_manifest_unchanged(self, tiny_spec):
+        table = [resolve_system(s) for s in BATCH_SWEEP_SPECS]
+        for jobs, executor in (
+            (Scheduler().plan([tiny_spec], [_BASE, _LOCAL], 600), InlineExecutor()),
+            (Scheduler().plan([tiny_spec], table, 600, batch=True), BatchExecutor()),
+        ):
+            before = copy.deepcopy([job.manifest() for job in jobs])
+            key = request_key(jobs)
+            results = Scheduler().run(jobs, executor)
+            assert [job.manifest() for job in jobs] == before
+            assert all(job.manifest()["wall_s"] is None for job in jobs)
+            assert all(result.manifest["wall_s"] is not None for result in results)
+            assert request_key(jobs) == key
+
+    def test_run_dispatches_only_cache_misses(self, tiny_spec, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "results"))
+        scheduler = Scheduler()
+        jobs = scheduler.plan([tiny_spec], [_BASE, _LOCAL], 700)
+        scheduler.run(jobs[:1])
+        recording = _Recording()
+        results = scheduler.run(jobs, recording)
+        assert recording.seen == [jobs[1]]
+        assert [r.system for r in results] == ["baseline-tage", "forward-walk-coalesce"]
+
+    def test_cached_pooled_sweep_starts_no_worker(self, tiny_spec, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "results"))
+        scheduler = Scheduler()
+        jobs = scheduler.plan([tiny_spec], [_BASE, _LOCAL], 700)
+        first = scheduler.run(jobs)
+        monkeypatch.setattr(executors, "ProcessPoolExecutor", _refuse)
+        monkeypatch.setattr(ColumnarTrace, "publish", _refuse)
+        again = scheduler.run(jobs, ProcessPoolExecutorBackend(workers=2))
+        assert [r.cycles for r in again] == [r.cycles for r in first]

@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -95,6 +96,15 @@ class TestStaleTmpSweep:
         assert own.exists()
         assert live.exists()
 
+    def test_writer_unique_names_swept_by_pid(self, tmp_path):
+        stale = tmp_path / f"w-1-100.trace.{self._dead_pid()}.140211.3.tmp"
+        stale.write_bytes(b"partial")
+        live = tmp_path / "w-2-100.trace.1.140211.0.tmp"
+        live.write_bytes(b"theirs")
+        _sweep_stale_tmp(tmp_path)
+        assert not stale.exists()
+        assert live.exists()
+
     def test_malformed_names_kept(self, tmp_path):
         odd = tmp_path / "not-a-writer.tmp"
         odd.write_bytes(b"?")
@@ -111,6 +121,33 @@ class TestStaleTmpSweep:
         load_trace(tiny_spec, 500)
         assert not stale.exists()
         assert (tmp_path / f"{tiny_spec.name}-{tiny_spec.seed}-500.trace").exists()
+
+
+class TestConcurrentTraceWrites:
+    def test_threads_writing_one_trace_never_collide(
+        self, tiny_spec, tmp_path, monkeypatch
+    ):
+        # The server's worker threads share a PID: each writer needs a
+        # temp file of its own, or one thread's rename steals another's.
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        barrier = threading.Barrier(8)
+        errors: list[BaseException] = []
+
+        def load() -> None:
+            barrier.wait()
+            try:
+                load_trace(tiny_spec, 2000)
+            except BaseException as exc:  # simlint: ignore[ERR001] -- collected for the assert
+                errors.append(exc)
+
+        threads = [threading.Thread(target=load) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert (tmp_path / f"{tiny_spec.name}-{tiny_spec.seed}-2000.trace").exists()
 
 
 class TestShmTransport:

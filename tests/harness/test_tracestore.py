@@ -8,6 +8,7 @@ loudly, which is also how the CI adapters job runs this module.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import asdict
 from pathlib import Path
 
@@ -79,6 +80,29 @@ class TestImport:
         _import_fixture(BT9_FIXTURE, name="public-dijkstra")
         names = [meta["name"] for meta in tracestore.list_imported()]
         assert names == ["public-dijkstra", "public-quicksort"]
+
+    def test_concurrent_imports_never_collide(self):
+        # One process, several threads, one target: each writer needs
+        # its own temp file or a rename finds its source already moved.
+        barrier = threading.Barrier(4)
+        specs: list[ImportedTraceSpec] = []
+        errors: list[BaseException] = []
+
+        def run() -> None:
+            barrier.wait()
+            try:
+                specs.append(_import_fixture(BT9_FIXTURE, name="public-dijkstra"))
+            except BaseException as exc:  # simlint: ignore[ERR001] -- collected for the assert
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert len(set(specs)) == 1
+        assert list(tracestore.store_dir().glob("*.tmp")) == []
 
     def test_missing_source_rejected(self):
         with pytest.raises(TraceError, match="not found"):

@@ -245,6 +245,26 @@ class TestDedup:
         job = _wait_state(base, body["job"]["id"], "done")
         assert job["cache_hits"] == 1 and job["sim_runs"] == 0
 
+    def test_default_cache_survives_restart(self, tmp_path, monkeypatch):
+        # With REPRO_RESULT_CACHE unset the server's own policy (cache
+        # on, at the default directory) must reach the jobs it runs, or
+        # finished work is never stored and a restart re-simulates it.
+        monkeypatch.delenv("REPRO_RESULT_CACHE")
+        monkeypatch.chdir(tmp_path)
+        config = ServiceConfig(port=0, workers=1, state_dir=None)
+        for expected in ({"cache_hits": 0, "sim_runs": 1}, {"cache_hits": 1, "sim_runs": 0}):
+            service = ReproService(config)
+            service.start()
+            try:
+                host, port = service.address
+                base = f"http://{host}:{port}"
+                _, body, _ = _post(base, _RUN)
+                job = _wait_state(base, body["job"]["id"], "done")
+            finally:
+                service.stop(drain=False, timeout=0.0)
+            assert {key: job[key] for key in expected} == expected
+        assert list((tmp_path / ".repro-cache" / "results").glob("*.json"))
+
 
 class TestAdmission:
     def test_rate_limit_429_with_retry_after(self, tmp_path):

@@ -1,14 +1,22 @@
 """Unit tests for run manifests and content hashes."""
 
+import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import repro
+from repro.harness.sampling import SamplingConfig
 from repro.harness.systems import TABLE3_SYSTEMS
 from repro.pipeline.config import PipelineConfig
-from repro.telemetry.manifest import RunManifest, build_manifest, stable_hash
+from repro.telemetry.manifest import (
+    ManifestBuilder,
+    RunManifest,
+    build_manifest,
+    stable_hash,
+)
 from repro.workloads.suite import get_workload
 
 _SYSTEM = TABLE3_SYSTEMS[0]
@@ -81,6 +89,37 @@ class TestManifest:
         m = _manifest()
         assert RunManifest.from_dict(m.as_dict()) == m
 
+    def test_as_dict_matches_the_asdict_layout(self):
+        sampled = build_manifest(
+            get_workload("hpc-fft"),
+            _SYSTEM,
+            5000,
+            PipelineConfig(),
+            sampling=SamplingConfig(mode="periodic"),
+            engine="batch",
+        )
+        for m in (_manifest(), sampled):
+            legacy = {
+                key: value
+                for key, value in asdict(m).items()
+                if not (key in ("sampling", "engine") and value is None)
+            }
+            assert json.dumps(m.as_dict()) == json.dumps(legacy)
+
+    def test_as_dict_copies_mutable_fields(self):
+        m = build_manifest(
+            get_workload("hpc-fft"),
+            _SYSTEM,
+            5000,
+            PipelineConfig(),
+            sampling=SamplingConfig(mode="periodic"),
+        )
+        payload = m.as_dict()
+        payload["env"]["REPRO_INJECTED"] = "1"
+        payload["sampling"]["interval"] = -1
+        assert "REPRO_INJECTED" not in m.env
+        assert m.sampling is not None and m.sampling["interval"] != -1
+
     def test_from_dict_ignores_unknown_keys(self):
         payload = _manifest().as_dict()
         payload["future_field"] = "whatever"
@@ -105,3 +144,42 @@ class TestManifest:
             )
             outputs.append(proc.stdout.split())
         assert outputs[0] == outputs[1] == [m.config_hash, m.workload_hash]
+
+
+class TestManifestBuilder:
+    def test_reused_builder_matches_build_manifest(self):
+        builder = ManifestBuilder()
+        pipeline = PipelineConfig()
+        sampling = SamplingConfig(mode="periodic")
+        for name in ("hpc-fft", "mm-animation"):
+            spec = get_workload(name)
+            for system in TABLE3_SYSTEMS[:3]:
+                for kwargs in ({}, {"sampling": sampling}, {"engine": "batch"}):
+                    built = builder.build(spec, system, 4000, pipeline, **kwargs)
+                    assert built == build_manifest(spec, system, 4000, pipeline, **kwargs)
+
+    def test_equal_values_that_serialise_differently_are_not_merged(self):
+        # 0 == 0.0, but their JSON (and so their hash) differs: the memo
+        # keys on identity so neither borrows the other's hash.
+        spec = get_workload("hpc-fft")
+        params = replace(spec.params, trip_entropy=0)
+        as_int = replace(spec, params=params)
+        as_float = replace(spec, params=replace(params, trip_entropy=0.0))
+        assert as_int == as_float
+        builder = ManifestBuilder()
+        pipeline = PipelineConfig()
+        for variant in (as_int, as_float):
+            assert (
+                builder.build(variant, _SYSTEM, 5000, pipeline).workload_hash
+                == build_manifest(variant, _SYSTEM, 5000, pipeline).workload_hash
+            )
+
+    def test_environment_read_when_the_builder_is_made(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "smoke")
+        builder = ManifestBuilder()
+        monkeypatch.setenv("REPRO_SCALE", "full")
+        spec = get_workload("hpc-fft")
+        assert builder.build(spec, _SYSTEM, 5000, PipelineConfig()).env["REPRO_SCALE"] == "smoke"
+        assert ManifestBuilder().build(spec, _SYSTEM, 5000, PipelineConfig()).env[
+            "REPRO_SCALE"
+        ] == "full"
